@@ -1,10 +1,9 @@
 // Experiment D2: batch-dynamic biconnectivity vs full oracle rebuild.
 //
-// The acceptance claim: a batch of B <= 1024 absorbable insertions on an
-// n >= 100k graph runs on the O(B)-write fast path (compactions amortized
-// over compact_threshold updates) and is at least 5x faster than
-// rebuilding the static §5.3 biconnectivity oracle from scratch. Each
-// dynamic row reports:
+// A batch of B <= 1024 absorbable insertions on an n >= 100k graph runs on
+// the O(B)-write fast path (compactions amortized over compact_threshold
+// updates) instead of rebuilding the static §5.3 biconnectivity oracle
+// from scratch; the rows measure by how much. Each dynamic row reports:
 //   speedup_vs_rebuild — from-scratch BiconnectivityOracle::build wall
 //       time divided by the *amortized* per-batch wall time measured
 //       across the whole loop (compactions included);

@@ -369,39 +369,6 @@ class BiconnPatchView {
     }
   }
 
-  /// The frozen block shared by frozen-biconnected, frozen-2ec u and v, as
-  /// a raw key; 0 when none is found (caller falls back to a path merge).
-  /// Unique when it exists: two distinct blocks share at most one vertex.
-  [[nodiscard]] std::uint64_t common_frozen_block(graph::vertex_id u,
-                                                  graph::vertex_id v) const {
-    const auto& oracle = state_->oracle;
-    const std::uint64_t k = edge_key(u, v);
-    if (state_->graph->multiplicity(u, v) > patch_->masked_count(k)) {
-      const auto b = oracle.edge_bcc(u, v);
-      return b ? block_key(*b) : 0;
-    }
-    std::vector<std::uint64_t> bu;
-    for_frozen_unmasked(u, [&](graph::vertex_id w) {
-      if (w == u) return;
-      const auto b = oracle.edge_bcc(u, w);
-      if (b) push_unique(bu, block_key(*b));
-    });
-    std::uint64_t found = 0;
-    for_frozen_unmasked(v, [&](graph::vertex_id w) {
-      if (found != 0 || w == v) return;
-      const auto b = oracle.edge_bcc(v, w);
-      if (!b) return;
-      const std::uint64_t key = block_key(*b);
-      for (const std::uint64_t x : bu) {
-        if (x == key) {
-          found = key;
-          return;
-        }
-      }
-    });
-    return found;
-  }
-
   // --- the query surface ---
 
   [[nodiscard]] graph::vertex_id component_of(graph::vertex_id v) const {

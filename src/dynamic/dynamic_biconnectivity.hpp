@@ -8,11 +8,13 @@
 //
 //  * Insert fast path — a batch of B insertions is *absorbed* when every
 //    edge, processed in order against the staged patch, is either
-//      (a) intra-block: its endpoints are biconnected AND 2-edge-connected
-//          in the frozen oracle — adding an edge inside a 2-connected,
+//      (a) intra-block: some block class of the patched view (a frozen
+//          block, possibly united with others by earlier merges) already
+//          holds both endpoints, and they are 2-edge-connected in the
+//          patched view — adding an edge inside a 2-connected,
 //          2-edge-connected block changes no biconnectivity answer, so the
-//          patch records the edge under its (unique) common frozen block
-//          plus a touched-component breadcrumb;
+//          patch records the edge under that class plus a
+//          touched-component breadcrumb;
 //      (b) a component merge: its endpoints lie in different (patched)
 //          components — the new edge is then the *only* edge between the
 //          two merged components, i.e. a bridge whose endpoints become
@@ -20,16 +22,16 @@
 //          The patch records the connectivity merge, the bridge (a fresh
 //          patch-born K2 block), and the promotions; or
 //      (c) a cycle-closing block merge: its endpoints are already connected
-//          in the patched view but sit in different blocks. Inserting
-//          (u, v) merges exactly the blocks along any simple u–v path into
-//          one, so a bounded BFS over the patched graph finds such a path
-//          and the patch unites the block classes along it (union-find over
-//          block ids), demotes every bridge the merge swallowed, and
-//          registers 2ec anchors so 2-edge-connectivity answers follow the
-//          merge. Cost: O(path length) counted writes — O(#blocks merged).
+//          in the patched view but share no block. Inserting (u, v) merges
+//          exactly the blocks along any simple u–v path into one, so a
+//          bounded BFS over the patched graph finds such a path and the
+//          patch unites the block classes along it (union-find over block
+//          ids), demotes every bridge the merge swallowed, and registers
+//          2ec anchors so 2-edge-connectivity answers follow the merge.
+//          Cost: O(path length) counted writes — O(#blocks merged).
 //    Self-loops are biconnectivity-inert and absorbed unconditionally. A
-//    path longer than `merge_search_limit` forces the rebuild
-//    (rebuild_reason = cross-block).
+//    path the search cannot reach within kMergeSearchLimit visited
+//    vertices forces the rebuild (rebuild_reason = cross-block).
 //  * Fast mixed path — a batch with deletions is still absorbable when
 //    deletion triage succeeds: deletions of patch-inserted copies cancel
 //    against the insert-event journal, and each deletion of a frozen edge
@@ -39,7 +41,7 @@
 //    becomes a mask). The surviving journal then *replays* into a fresh
 //    patch through the same per-edge planner, which also re-splits
 //    components correctly when a patched bridge was deleted. Batches whose
-//    journal exceeds `replay_event_limit` skip triage (rebuild_reason =
+//    journal would exceed kReplayEventLimit skip triage (rebuild_reason =
 //    deletion-overflow).
 //  * Selective rebuild — any batch the above refuse. Only the connected
 //    components an edge changed in since the
@@ -87,24 +89,6 @@ namespace wecc::dynamic {
 
 struct DynamicBiconnOptions : FacadeOptions {
   biconn::BiconnOracleOptions oracle;
-  /// Vertex-visit budget for the fast path's bounded searches (the
-  /// cycle-closing merge path BFS and the deletion certificate's
-  /// disjoint-path checks). A search that exhausts the budget fails the
-  /// absorbability check and the batch rebuilds instead; 0 disables the
-  /// block-merge and triage extensions entirely (PR-3 fast path only).
-  /// The default must cover a search across the largest patched component
-  /// churn can glue together, not just one frozen cluster: sustained
-  /// random inserts merge percolation clusters into a giant component
-  /// (tens of thousands of vertices), and one refused merge costs a
-  /// rebuild that freezes every patch edge — after which LIFO deletions
-  /// of those edges fail triage forever. Erring high is strictly cheaper:
-  /// the search is bidirectional scratch (visits cost time, not counted
-  /// writes) and caps at the component size anyway.
-  std::size_t merge_search_limit = 65536;
-  /// Largest insert-event journal the deletion triage will replay. Bounds
-  /// the mixed fast path's worst case at O(journal × path) operations;
-  /// larger journals send deletion batches straight to the rebuild.
-  std::size_t replay_event_limit = 16384;
 };
 
 /// What one apply() did — the shared base (epoch, path, counted
@@ -170,6 +154,23 @@ class DynamicBiconnectivity
  private:
   friend FacadeCore;
   static constexpr const char* kPhasePrefix = "dynamic_biconn/";
+  /// Vertex-visit budget for the fast path's bounded searches (the
+  /// cycle-closing merge path BFS and the deletion certificate's
+  /// disjoint-path checks). A search that exhausts it fails the
+  /// absorbability check and the batch rebuilds instead. It must cover a
+  /// search across the largest patched component churn can glue together,
+  /// not just one frozen cluster: sustained random inserts merge
+  /// percolation clusters into a giant component (tens of thousands of
+  /// vertices), and one refused merge costs a rebuild that freezes every
+  /// patch edge — after which LIFO deletions of those edges fail triage
+  /// forever. Erring high is strictly cheaper: the search is bidirectional
+  /// scratch (visits cost time, not counted writes) and caps at the
+  /// component size anyway.
+  static constexpr std::size_t kMergeSearchLimit = 65536;
+  /// Largest insert-event journal the deletion triage will replay. Bounds
+  /// the mixed fast path's worst case at O(journal × path) operations;
+  /// larger journals send deletion batches straight to the rebuild.
+  static constexpr std::size_t kReplayEventLimit = 16384;
 
   /// The fast paths' planner: stage the absorption of `batch` into
   /// `staged` — insert-only batches extend a copy of the pending patch,
@@ -186,7 +187,7 @@ class DynamicBiconnectivity
       absorbed = plan_fast_insert(batch.insertions, staged.patch,
                                   staged.paths, report);
     } else if (pending_.patch.events().size() + batch.size() <=
-               opt_.replay_event_limit) {
+               kReplayEventLimit) {
       absorbed = plan_fast_mixed(batch, staged.patch, staged.paths, report);
     } else {
       report.rebuild_reason = RebuildReason::kDeletionOverflow;
@@ -244,10 +245,10 @@ class DynamicBiconnectivity
     }
     const graph::vertex_id bu = oracle.component_of(e.u);
     const graph::vertex_id bv = oracle.component_of(e.v);
+    const BiconnPatchView view(*state_, staged);
     if (staged.conn.find(bu) != staged.conn.find(bv)) {
       // (b) component merge: the one edge between two merged components —
       // a bridge forming a fresh patch-born K2 block.
-      const BiconnPatchView view(*state_, staged);
       if (view.has_neighbor(e.u)) staged.add_articulation(e.u);
       if (view.has_neighbor(e.v)) staged.add_articulation(e.v);
       staged.conn.unite(bu, bv, [&](graph::vertex_id l) {
@@ -262,46 +263,9 @@ class DynamicBiconnectivity
       if (count) ++report.patched_bridges;
       return true;
     }
-    if (bu == bv && oracle.biconnected(e.u, e.v) &&
-        oracle.two_edge_connected(e.u, e.v)) {
-      // (a) intra-block: lands inside one 2-connected, 2-edge-connected
-      // frozen block; record the edge under that (unique) block.
-      const BiconnPatchView view(*state_, staged);
-      const std::uint64_t blk = view.common_frozen_block(e.u, e.v);
-      if (blk != 0) {
-        staged.add_patch_edge(e.u, e.v, blk);
-        staged.append_event(e);
-        staged_paths.emplace_back();
-        staged.touch_component(bu);
-        if (count) ++report.absorbed_edges;
-        return true;
-      }
-      // Defensive: no common frozen block surfaced — treat as a merge.
-    }
-    // (c) cycle-closing block merge.
-    return plan_cycle_merge(e, staged, staged_paths, report, count, hint);
-  }
-
-  /// Case (c): endpoints already connected in the patched view but not in
-  /// one block. Find a simple u–v path (bounded bidirectional BFS over
-  /// frozen-minus-masks plus patch edges — or a still-valid memoized path
-  /// when replaying); inserting (u, v) merges exactly the blocks along it,
-  /// so unite their classes, demote swallowed bridges, and register the
-  /// path's 2ec anchor groups.
-  bool plan_cycle_merge(const graph::Edge& e, BiconnPatch& staged,
-                        MergePaths& staged_paths, BiconnUpdateReport& report,
-                        bool count,
-                        const std::vector<graph::vertex_id>* hint = nullptr) {
-    if (opt_.merge_search_limit == 0) {
-      report.rebuild_reason = RebuildReason::kCrossBlock;
-      return false;
-    }
-    const auto& oracle = state_->oracle;
-    const BiconnPatchView view(*state_, staged);
-    // In-merged-block shortcut: if some (possibly patch-merged) block
-    // class already contains both endpoints, the new edge lands inside a
-    // 2-connected block and absorbs with no structural change — the same
-    // argument as case (a), with the union supplying the block. Once churn
+    // (a) intra-block: some block class — a frozen block, or one that
+    // earlier merges united — already holds both endpoints, so the edge
+    // lands inside a 2-connected block and changes no answer. Once churn
     // has united most of a component into one class this is the common
     // case, and it costs O(deg u + deg v) finds instead of a ball walk.
     // The patched-2ec guard matters: a lone bridge block (K2) holds both
@@ -313,11 +277,27 @@ class DynamicBiconnectivity
       staged.add_patch_edge(e.u, e.v, shared);
       staged.append_event(e);
       staged_paths.emplace_back();
-      staged.touch_component(oracle.component_of(e.u));
-      staged.touch_component(oracle.component_of(e.v));
+      staged.touch_component(bu);
+      if (bv != bu) staged.touch_component(bv);
       if (count) ++report.absorbed_edges;
       return true;
     }
+    // (c) cycle-closing block merge.
+    return plan_cycle_merge(e, staged, staged_paths, report, count, view,
+                            hint);
+  }
+
+  /// Case (c): endpoints already connected in the patched view but sharing
+  /// no block. Find a simple u–v path (bounded bidirectional BFS over
+  /// frozen-minus-masks plus patch edges — or a still-valid memoized path
+  /// when replaying); inserting (u, v) merges exactly the blocks along it,
+  /// so unite their classes, demote swallowed bridges, and register the
+  /// path's 2ec anchor groups.
+  bool plan_cycle_merge(const graph::Edge& e, BiconnPatch& staged,
+                        MergePaths& staged_paths, BiconnUpdateReport& report,
+                        bool count, const BiconnPatchView& view,
+                        const std::vector<graph::vertex_id>* hint) {
+    const auto& oracle = state_->oracle;
     // A memoized path whose edges all survive in the staged view closes
     // the same cycle now as when it was found: a present simple cycle
     // justifies uniting its blocks no matter which journal events were
@@ -327,7 +307,7 @@ class DynamicBiconnectivity
     if (hint != nullptr && path_still_present(*hint, e, staged)) {
       path = *hint;
     } else {
-      path = bounded_path_search(e.u, e.v, opt_.merge_search_limit,
+      path = bounded_path_search(e.u, e.v, kMergeSearchLimit,
                                  [&](graph::vertex_id x, auto&& fn) {
                                    view.for_patched_neighbors(x, fn);
                                  });
@@ -389,10 +369,11 @@ class DynamicBiconnectivity
   }
 
   /// Planner-side memo of the frozen oracle's per-edge block key (0 =
-  /// none). Pure function of state_->oracle, so entries stay valid until a
-  /// rebuild installs a new oracle version (on_staged_commit clears it);
-  /// journal replays re-resolve the same frozen edges every mixed batch,
-  /// which this turns into hash probes. Writer-serialized like the planner.
+  /// none). A pure function of state_->oracle, but on_staged_commit clears
+  /// it on every staged commit, so entries are shared within one plan: a
+  /// mixed batch's journal replay and its own inserts re-resolve the same
+  /// frozen edges, which this turns into hash probes. Writer-serialized
+  /// like the planner.
   [[nodiscard]] std::uint64_t frozen_edge_block(graph::vertex_id x,
                                                graph::vertex_id y) {
     const std::uint64_t k = edge_key(x, y);
@@ -406,7 +387,7 @@ class DynamicBiconnectivity
 
   /// Same discipline for the oracle's canonical 2ec class of a vertex —
   /// the anchor loop's key. One oracle computation per distinct vertex per
-  /// oracle version instead of per journal replay.
+  /// plan instead of per replayed event.
   [[nodiscard]] std::uint64_t frozen_tec_class(graph::vertex_id x) {
     const auto it = tec_class_memo_.find(x);
     if (it != tec_class_memo_.end()) return it->second;
@@ -548,7 +529,6 @@ class DynamicBiconnectivity
   /// incomplete — a miss only costs a rebuild, never a wrong answer.
   [[nodiscard]] bool certify_frozen_deletion(const graph::Edge& e,
                                              const BiconnPatch& staged) const {
-    if (opt_.merge_search_limit == 0) return false;
     const std::uint64_t k = edge_key(e.u, e.v);
     const BiconnPatchView view(*state_, staged);
     const std::size_t frozen_copies = state_->graph->multiplicity(e.u, e.v);
@@ -563,13 +543,13 @@ class DynamicBiconnectivity
       });
     };
     const auto p1 =
-        bounded_path_search(e.u, e.v, opt_.merge_search_limit, nbrs);
+        bounded_path_search(e.u, e.v, kMergeSearchLimit, nbrs);
     if (p1.empty()) return false;
     if (remaining == 1) return true;  // surviving copy + p1 are disjoint
     const std::unordered_set<graph::vertex_id> interior(p1.begin() + 1,
                                                         p1.end() - 1);
     const auto p2 = bounded_path_search(
-        e.u, e.v, opt_.merge_search_limit, nbrs,
+        e.u, e.v, kMergeSearchLimit, nbrs,
         [&](graph::vertex_id w) { return interior.count(w) != 0; });
     return !p2.empty();
   }

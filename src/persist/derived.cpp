@@ -10,6 +10,15 @@
 
 namespace wecc::persist {
 
+bool QueryView::has_edge(graph::vertex_id u, graph::vertex_id v) const {
+  if (u == v) return false;
+  amem::count_read(2);
+  const auto row = csr_adj.subspan(csr_offsets[u],
+                                   csr_offsets[u + 1] - csr_offsets[u]);
+  amem::count_read(std::bit_width(row.size()));
+  return std::binary_search(row.begin(), row.end(), v);
+}
+
 bool QueryView::is_bridge(graph::vertex_id u, graph::vertex_id v) const {
   if (u == v) return false;
   amem::count_read(2 * std::bit_width(bridge_keys.size()));

@@ -5,11 +5,12 @@
 //
 //  * QueryView — non-owning spans over the arrays plus the query logic:
 //    connected / component_of / biconnected / two_edge_connected /
-//    is_articulation / is_bridge, answered without touching the graph
-//    (connectivity & 2ec are label equality, articulation is a bitmap
-//    probe, bridges are a binary search, biconnectivity intersects the two
-//    endpoints' sorted block-id rows). The same struct reads straight out
-//    of an mmap'd snapshot — zero copies, zero allocation.
+//    is_articulation / is_bridge / has_edge, answered without touching the
+//    graph (connectivity & 2ec are label equality, articulation is a
+//    bitmap probe, bridges and edges are a binary search, biconnectivity
+//    intersects the two endpoints' sorted block-id rows). The same struct
+//    reads straight out of an mmap'd snapshot — zero copies, zero
+//    allocation.
 //  * DerivedState — the owning form, computed from (n, edges) with the
 //    sequential ground-truth engines (DSU for connectivity-only,
 //    Hopcroft–Tarjan for the full surface).
@@ -65,6 +66,10 @@ struct QueryView {
     amem::count_read();
     return (artic_bits[v >> 3] >> (v & 7u)) & 1u;
   }
+  /// Is a non-self-loop edge {u, v} present? Binary search of u's sorted
+  /// adjacency row — the boolean kEdgeBcc answer (every such edge has a
+  /// block).
+  [[nodiscard]] bool has_edge(graph::vertex_id u, graph::vertex_id v) const;
   /// Is {u, v} a bridge? Binary search of the sorted canonical key list.
   [[nodiscard]] bool is_bridge(graph::vertex_id u, graph::vertex_id v) const;
   /// Do u and v share a biconnected component? Sorted intersection of the

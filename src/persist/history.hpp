@@ -68,9 +68,11 @@ class HistoricView {
       case dynamic::MixedQuery::Kind::kBridge:
         return qv.is_bridge(u, v);
       case dynamic::MixedQuery::Kind::kEdgeBcc:
-        // Historic views serve booleans only; block ids are epoch-internal
-        // names of the live snapshot, meaningless across reconstructions.
-        return false;
+        // The boolean is edge presence: every present non-self-loop edge
+        // has a block. Historic views serve no block ids — those are
+        // epoch-internal names of the live snapshot, meaningless across
+        // reconstructions.
+        return qv.has_edge(u, v);
     }
     return false;
   }

@@ -351,7 +351,7 @@ TEST(RaceHunt, BiconnectivityWriterVsReaders) {
     dynamic::BiconnBatchQueryEngine engine(snap);
     std::vector<dynamic::MixedQuery> queries(96);
     for (auto& q : queries) {
-      q.kind = dynamic::MixedQuery::Kind(rng.next_int(5));
+      q.kind = dynamic::MixedQuery::Kind(rng.next_int(6));
       q.u = vertex_id(rng.next_int(kN));
       q.v = vertex_id(rng.next_int(kN));
     }
@@ -382,6 +382,12 @@ TEST(RaceHunt, BiconnectivityWriterVsReaders) {
           ASSERT_EQ(got, snap->is_bridge(q.u, q.v));
           if (got && q.u != q.v) {
             ASSERT_TRUE(snap->connected(q.u, q.v));
+          }
+          break;
+        case dynamic::MixedQuery::Kind::kEdgeBcc:
+          ASSERT_EQ(got, snap->edge_block_id(q.u, q.v) != 0);
+          if (got) {
+            ASSERT_TRUE(snap->biconnected(q.u, q.v));
           }
           break;
       }

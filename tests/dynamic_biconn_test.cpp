@@ -33,6 +33,7 @@ using graph::Edge;
 using graph::EdgeList;
 using graph::Graph;
 using graph::vertex_id;
+using testutil::BruteSurface;
 using testutil::EdgeSetModel;
 
 using Path = BiconnUpdateReport::Path;
@@ -49,54 +50,10 @@ void apply_to_model(EdgeSetModel& model, const UpdateBatch& b) {
   for (const Edge& e : b.insertions) model.add(e);
 }
 
-/// Ground truth for one materialized graph: Hopcroft–Tarjan over the full
-/// edge multiset, plus pair-level derived answers.
-struct Truth {
-  primitives::LocalGraph lg{0};
-  primitives::BiconnResult bc;
-  std::vector<std::vector<std::uint32_t>> pair_edges;  // flattened n*n
-
-  explicit Truth(const Graph& g) : lg(g.num_vertices()) {
-    const std::size_t n = g.num_vertices();
-    pair_edges.resize(n * n);
-    for (const Edge& e : g.edge_list()) {
-      const auto id = lg.add_edge(e.u, e.v);
-      if (e.u != e.v) {
-        pair_edges[std::size_t(e.u) * n + e.v].push_back(id);
-        pair_edges[std::size_t(e.v) * n + e.u].push_back(id);
-      }
-    }
-    bc = primitives::biconnectivity(lg);
-  }
-
-  [[nodiscard]] bool connected(vertex_id u, vertex_id v) const {
-    return bc.cc_label[u] == bc.cc_label[v];
-  }
-  [[nodiscard]] bool biconnected(vertex_id u, vertex_id v) const {
-    return u == v || bc.same_bcc(lg, u, v);
-  }
-  [[nodiscard]] bool two_edge_connected(vertex_id u, vertex_id v) const {
-    return u == v || (connected(u, v) && bc.two_edge_connected(u, v));
-  }
-  [[nodiscard]] bool is_articulation(vertex_id v) const {
-    return bc.is_artic[v] != 0;
-  }
-  /// Pair-level bridge: some instance of (u, v) is a bridge (parallel
-  /// copies make every instance a non-bridge, matching the oracle's
-  /// doubled-edge rule).
-  [[nodiscard]] bool is_bridge(vertex_id u, vertex_id v) const {
-    if (u == v) return false;
-    for (const auto e : pair_edges[std::size_t(u) * lg.num_vertices() + v]) {
-      if (bc.is_bridge[e]) return true;
-    }
-    return false;
-  }
-};
-
 void expect_matches_truth(const DynamicBiconnectivity& dbc,
                           const EdgeSetModel& model) {
   const Graph g = model.materialize();
-  const Truth truth(g);
+  const BruteSurface truth(g);
   const auto snap = dbc.snapshot();
   const auto n = vertex_id(g.num_vertices());
   for (vertex_id v = 0; v < n; ++v) {
@@ -126,10 +83,8 @@ void expect_matches_truth(const DynamicBiconnectivity& dbc,
 /// equality check.
 void expect_block_partition_matches(const DynamicBiconnectivity& dbc,
                                     const EdgeSetModel& model) {
-  const Graph g = model.materialize();
-  const Truth truth(g);
+  const BruteSurface truth(model.materialize());
   const auto snap = dbc.snapshot();
-  const std::size_t n = g.num_vertices();
   std::map<std::uint64_t, std::uint32_t> snap_to_truth;
   std::map<std::uint32_t, std::uint64_t> truth_to_snap;
   for (const auto& [pair, count] : model.edges()) {
@@ -141,8 +96,7 @@ void expect_block_partition_matches(const DynamicBiconnectivity& dbc,
     }
     ASSERT_NE(id, 0u)
         << "epoch " << snap->epoch() << " edge " << u << "," << v;
-    const std::uint32_t tid =
-        truth.bc.edge_bcc[truth.pair_edges[std::size_t(u) * n + v].front()];
+    const std::uint32_t tid = truth.edge_block(u, v);
     const auto [fwd, fwd_fresh] = snap_to_truth.emplace(id, tid);
     EXPECT_EQ(fwd->second, tid)
         << "epoch " << snap->epoch() << " edge " << u << "," << v
@@ -293,25 +247,38 @@ TEST(DynamicBiconn, CycleThroughPatchedBridgeAbsorbed) {
   EXPECT_TRUE(dbc.two_edge_connected(2, 5));
 }
 
-TEST(DynamicBiconn, MergeSearchLimitZeroRestoresRebuilds) {
-  // merge_search_limit = 0 disables the block-merge algebra: the same
-  // cycle-closing insert must fall back to a selective rebuild (the
-  // pre-block-merge behavior) and still answer exactly.
-  const Graph g = graph::gen::path(6);
-  EdgeSetModel model(6, g.edge_list());
-  DynamicBiconnOptions o = opts(3);
-  o.merge_search_limit = 0;
-  DynamicBiconnectivity dbc(g, o);
+TEST(DynamicBiconn, MergeBeyondSearchBudgetRebuilds) {
+  // Closing a path longer than the merge search's 65536-visit budget: the
+  // bidirectional BFS gives up before the two trees meet, so the insert
+  // refuses (cross-block) and the batch takes a selective rebuild — which
+  // must still answer the new cycle exactly.
+  const std::size_t n = 80000;
+  const Graph g = graph::gen::path(n);
+  EdgeSetModel model(n, g.edge_list());
+  DynamicBiconnectivity dbc(g, opts(16));
 
-  UpdateBatch b = UpdateBatch::inserting({{0, 3}});
+  UpdateBatch b = UpdateBatch::inserting({{0, vertex_id(n - 1)}});
   const BiconnUpdateReport r = dbc.apply(b);
   apply_to_model(model, b);
   EXPECT_EQ(r.path, Path::kSelectiveRebuild);
   EXPECT_EQ(r.rebuild_reason, dynamic::RebuildReason::kCrossBlock);
   EXPECT_GE(r.dirty_components, 1u);
   EXPECT_LT(r.absorb_rate, 1.0);
-  expect_matches_truth(dbc, model);
-  EXPECT_TRUE(dbc.biconnected(0, 3));
+
+  const BruteSurface truth(model.materialize());
+  std::vector<Edge> pairs = {{0, vertex_id(n - 1)}, {1, 2}, {0, 1}};
+  std::uint64_t rs = 21;
+  for (int i = 0; i < 200; ++i) {
+    rs = parallel::mix64(rs + 1);
+    const auto u = vertex_id(rs % n);
+    rs = parallel::mix64(rs);
+    pairs.push_back({u, vertex_id(rs % n)});
+    pairs.push_back({u, vertex_id((u + 1) % n)});  // a present edge
+  }
+  testutil::expect_full_surface_eq(*dbc.snapshot(), truth, pairs,
+                                   "after the cross-block rebuild");
+  EXPECT_TRUE(dbc.biconnected(0, vertex_id(n - 1)));
+  EXPECT_FALSE(dbc.is_articulation(vertex_id(n / 2)));
 }
 
 TEST(DynamicBiconn, DeletionsSelectiveRebuildAndSplit) {

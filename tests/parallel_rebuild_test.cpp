@@ -33,6 +33,7 @@
 #include "parallel/rng.hpp"
 #include "parallel/shard.hpp"
 #include "parallel/thread_pool.hpp"
+#include "test_util.hpp"
 
 namespace wecc {
 namespace {
@@ -172,83 +173,109 @@ std::vector<dynamic::UpdateBatch> make_batches(std::size_t n,
   return out;
 }
 
+/// `count` vertex cuts of `base`: each deletes every base edge at one
+/// vertex of base degree 4, the vertices taken in id order and pairwise
+/// non-adjacent so no two cuts delete the same edge. A stripped vertex
+/// keeps only the edges inserted at it since; unless two of those are
+/// frozen by an earlier rebuild, the certificate for its last base edge
+/// finds no two disjoint replacement paths, and the batch takes a
+/// selective rebuild.
+std::vector<graph::EdgeList> vertex_cuts(const graph::Graph& base,
+                                         std::size_t count) {
+  const std::size_t n = base.num_vertices();
+  const graph::EdgeList edges = base.edge_list();
+  std::vector<std::size_t> degree(n, 0);
+  for (const auto& [u, v] : edges) {
+    ++degree[u];
+    ++degree[v];
+  }
+  std::vector<bool> blocked(n, false);  // a cut vertex or its neighbor
+  std::vector<graph::EdgeList> cuts;
+  for (vertex_id x = 0; x < n && cuts.size() < count; ++x) {
+    if (degree[x] != 4 || blocked[x]) continue;
+    graph::EdgeList cut;
+    for (const auto& e : edges) {
+      if (e.u == x || e.v == x) cut.push_back(e);
+    }
+    for (const auto& [u, v] : cut) blocked[u] = blocked[v] = true;
+    cuts.push_back(std::move(cut));
+  }
+  return cuts;
+}
+
 TEST(ParallelRebuildDeterminism, BiconnFacadeAgreesAcrossThreadCounts) {
   const graph::Graph base = graph::gen::percolation_grid(40, 40, 0.45, 11);
   const std::size_t n = base.num_vertices();
-  const auto batches = make_batches(n, 6, 64);
+  auto batches = make_batches(n, 6, 64);
+  // A vertex cut in every batch keeps the selective rebuild in play: the
+  // block-merge algebra absorbs the LIFO churn on its own.
+  const auto cuts = vertex_cuts(base, batches.size());
+  ASSERT_EQ(cuts.size(), batches.size());
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    for (const auto& e : cuts[b]) batches[b].deletions.push_back(e);
+  }
 
-  // Two facades per thread count: one with the block-merge algebra
-  // disabled (merge_search_limit = 0) so the LIFO churn still exercises
-  // the parallel selective rebuild, and one with it enabled so the
-  // O(B)-write absorb path is held to the same determinism bar. All six
-  // must agree on the full query surface after every epoch.
+  // One facade per thread count; all must publish the same full query
+  // surface after every epoch, and that surface must match the reference.
   const std::vector<std::size_t> thread_options = {1, 2,
                                                    parallel::num_threads()};
   std::vector<std::unique_ptr<dynamic::DynamicBiconnectivity>> facades;
-  std::vector<std::size_t> facade_threads;
-  for (const bool merging : {false, true}) {
-    for (const std::size_t t : thread_options) {
-      dynamic::DynamicBiconnOptions opt;
-      opt.oracle.k = 4;
-      opt.rebuild_threads = t;
-      if (!merging) opt.merge_search_limit = 0;
-      facades.push_back(std::make_unique<dynamic::DynamicBiconnectivity>(
-          graph::Graph(base), opt));
-      facade_threads.push_back(t);
-    }
+  for (const std::size_t t : thread_options) {
+    dynamic::DynamicBiconnOptions opt;
+    opt.oracle.k = 4;
+    opt.rebuild_threads = t;
+    facades.push_back(std::make_unique<dynamic::DynamicBiconnectivity>(
+        graph::Graph(base), opt));
   }
   const std::size_t trio = thread_options.size();
+  testutil::EdgeSetModel model(n, base.edge_list());
 
   std::size_t selective_seen = 0;
   for (const auto& batch : batches) {
     std::vector<dynamic::BiconnUpdateReport::Path> paths;
-    for (std::size_t f = 0; f < facades.size(); ++f) {
+    for (std::size_t f = 0; f < trio; ++f) {
       const auto report = facades[f]->apply(batch);
       paths.push_back(report.path);
       if (report.path ==
           dynamic::BiconnUpdateReport::Path::kSelectiveRebuild) {
         ++selective_seen;
-        EXPECT_EQ(report.rebuild_threads, facade_threads[f]);
+        EXPECT_EQ(report.rebuild_threads, thread_options[f]);
       }
     }
-    // The chosen update path is thread-count independent within each trio.
-    for (std::size_t f = 0; f < facades.size(); ++f) {
-      ASSERT_EQ(paths[f], paths[f / trio * trio]) << "facade " << f;
+    for (const auto& e : batch.deletions) model.remove(e);
+    for (const auto& e : batch.insertions) model.add(e);
+    // The chosen update path is thread-count independent.
+    for (std::size_t f = 1; f < trio; ++f) {
+      ASSERT_EQ(paths[f], paths[0]) << "facade " << f;
     }
-    // Full query surface agrees pairwise after every epoch — including
-    // across the merging/non-merging divide, where the representations
-    // differ but the answers must not.
+    // Every facade's full surface matches the reference — every vertex,
+    // every present edge, and a sample of random pairs — and labels and
+    // block ids (patch-union winners included) are bit-identical across
+    // thread counts.
+    const testutil::BruteSurface truth(model.materialize());
     const auto s0 = facades[0]->snapshot();
-    const auto sm = facades[trio]->snapshot();
-    for (std::size_t f = 1; f < facades.size(); ++f) {
+    const graph::EdgeList edges = facades[0]->current_edge_list();
+    std::vector<graph::Edge> pairs = edges;
+    for (vertex_id v = 0; v < n; ++v) {
+      pairs.push_back({v, vertex_id((std::uint64_t(v) * 2654435761u) % n)});
+    }
+    for (std::size_t f = 0; f < trio; ++f) {
       const auto sf = facades[f]->snapshot();
+      const std::string where = "facade " + std::to_string(f);
+      testutil::expect_full_surface_eq(*sf, truth, pairs, where.c_str());
+      if (f == 0) continue;
       for (vertex_id v = 0; v < n; ++v) {
         ASSERT_EQ(s0->component_of(v), sf->component_of(v)) << "v=" << v;
-        ASSERT_EQ(s0->is_articulation(v), sf->is_articulation(v))
-            << "v=" << v;
       }
-      const graph::EdgeList edges = facades[0]->current_edge_list();
       ASSERT_EQ(edges, facades[f]->current_edge_list());
       for (const auto& [u, v] : edges) {
-        if (u == v) continue;
-        ASSERT_EQ(s0->is_bridge(u, v), sf->is_bridge(u, v))
+        ASSERT_EQ(s0->edge_block_id(u, v), sf->edge_block_id(u, v))
             << u << "," << v;
-        ASSERT_EQ(s0->biconnected(u, v), sf->biconnected(u, v))
-            << u << "," << v;
-        ASSERT_EQ(s0->two_edge_connected(u, v),
-                  sf->two_edge_connected(u, v))
-            << u << "," << v;
-        // Within the merging trio, block ids (patch-union winners
-        // included) are bit-identical across thread counts.
-        if (f > trio) {
-          ASSERT_EQ(sm->edge_block_id(u, v), sf->edge_block_id(u, v))
-              << u << "," << v;
-        }
       }
     }
   }
-  // Every batch has deletions from the second on, so the non-merging trio
-  // must have exercised the selective path on every facade.
+  // Every batch carries a vertex cut, so each facade took the selective
+  // path at least once.
   EXPECT_GE(selective_seen, trio);
 }
 
@@ -369,8 +396,9 @@ TEST(FacadeGoldenTrace, PathsWritesAndSurfacesPinned) {
   // The trace: eight insertions that each join two base components (bridges
   // every facade absorbs), a batch deleting half of them (absorbed by
   // journal cancellation), make_batches' mixed batches each followed by 32
-  // random insertions, and finally the deletion of every base edge at one
-  // vertex (no certificate survives it, so every facade rebuilds).
+  // random insertions, and finally four vertex cuts, each deleting every
+  // base edge at one vertex (no certificate survives it, so every facade
+  // rebuilds).
   std::vector<dynamic::UpdateBatch> trace;
   parallel::Rng rng(20261017);
   const auto random_edge = [&] {
@@ -394,20 +422,9 @@ TEST(FacadeGoldenTrace, PathsWritesAndSurfacesPinned) {
     for (int i = 0; i < 32; ++i) ins.insertions.push_back(random_edge());
     trace.push_back(std::move(ins));
   }
-  {
-    std::vector<std::size_t> degree(n, 0);
-    for (const auto& [u, v] : base.edge_list()) {
-      ++degree[u];
-      ++degree[v];
-    }
-    const auto it = std::find(degree.begin(), degree.end(), 4);
-    const auto x = vertex_id(it - degree.begin());
-    dynamic::UpdateBatch cut;
-    for (const auto& e : base.edge_list()) {
-      if (e.u == x || e.v == x) cut.deletions.push_back(e);
-    }
-    ASSERT_EQ(cut.deletions.size(), 4u);
-    trace.push_back(std::move(cut));
+  for (auto& cut : vertex_cuts(base, 4)) {
+    ASSERT_EQ(cut.size(), 4u);
+    trace.push_back(dynamic::UpdateBatch::deleting(std::move(cut)));
   }
 
   // Per facade: epoch 0, then one row per trace batch, then compact().
@@ -434,52 +451,38 @@ TEST(FacadeGoldenTrace, PathsWritesAndSurfacesPinned) {
       {kSelectiveRebuild, kNone, 2369, 52883, 0xf40b971298ecb948ULL},
       {kFastInsert, kNone, 82, 1011, 0x1222668955f443b3ULL},
       {kSelectiveRebuild, kNone, 2258, 53118, 0xb853fbf0fcf7cc65ULL},
-      {kCompaction, kNone, 1800, 0, 0x8bc33ce19a0e3a96ULL},
+      {kSelectiveRebuild, kNone, 2246, 52286, 0xbdf6c633a39ec9bULL},
+      {kSelectiveRebuild, kNone, 2245, 52157, 0x195d8c9eb14eb709ULL},
+      {kSelectiveRebuild, kNone, 2243, 51878, 0xa91aaad2ba6e0448ULL},
+      {kCompaction, kNone, 1803, 0, 0x6684ce8208c177a1ULL},
   };
   const Rows merge_rows = {
       {kInitialBuild, kNone, 0, 0, 0xd854ada1a4850a87ULL},
       {kFastInsert, kNone, 87, 361, 0x6bc618596a7a22ffULL},
       {kFastMixed, kNone, 63, 273, 0xe977c8b661d1cdd1ULL},
-      {kFastInsert, kNone, 671, 38788, 0xa209b083865f27c6ULL},
-      {kFastInsert, kNone, 722, 46003, 0xa68ce5f3166193fcULL},
-      {kFastMixed, kNone, 1566, 55058, 0xfc190347762f495bULL},
-      {kFastInsert, kNone, 1295, 113671, 0xbab34adc88f6b4bdULL},
-      {kFastMixed, kNone, 3190, 151849, 0x4a85f082eb94f81ULL},
-      {kFastInsert, kNone, 901, 89716, 0x566eacf800eac8ddULL},
-      {kFastMixed, kNone, 3897, 181344, 0x46f6267d062bc40bULL},
-      {kFastInsert, kNone, 656, 71911, 0x6a92d2e413f36a06ULL},
-      {kFastMixed, kNone, 4599, 215001, 0x8a72a72c9929d70ULL},
-      {kFastInsert, kNone, 606, 60764, 0x3c42ebcaeda3ace8ULL},
-      {kFastMixed, kNone, 5149, 242994, 0xa9ae82500080dbaeULL},
-      {kFastInsert, kNone, 515, 48305, 0x77dfa518b738640eULL},
+      {kFastInsert, kNone, 671, 38604, 0xa209b083865f27c6ULL},
+      {kFastInsert, kNone, 722, 45485, 0xa68ce5f3166193fcULL},
+      {kFastMixed, kNone, 1566, 54253, 0xfc190347762f495bULL},
+      {kFastInsert, kNone, 1295, 113449, 0xbab34adc88f6b4bdULL},
+      {kFastMixed, kNone, 3190, 150600, 0x4a85f082eb94f81ULL},
+      {kFastInsert, kNone, 901, 89294, 0x566eacf800eac8ddULL},
+      {kFastMixed, kNone, 3897, 180066, 0x46f6267d062bc40bULL},
+      {kFastInsert, kNone, 656, 71632, 0x6a92d2e413f36a06ULL},
+      {kFastMixed, kNone, 4599, 213390, 0x8a72a72c9929d70ULL},
+      {kFastInsert, kNone, 603, 59670, 0x3c42ebcaeda3ace8ULL},
+      {kFastMixed, kNone, 5141, 239569, 0xa9ae82500080dbaeULL},
+      {kFastInsert, kNone, 515, 48209, 0x77dfa518b738640eULL},
       {kSelectiveRebuild, kTriageFailed, 20827, 122451, 0x3268c2f72466b076ULL},
-      {kCompaction, kForced, 22534, 0, 0x80980232c2efdad7ULL},
+      {kSelectiveRebuild, kTriageFailed, 20708, 116932, 0xd6cdc9ce51d7fdd5ULL},
+      {kSelectiveRebuild, kTriageFailed, 20683, 116638, 0xf3c83c2c82904290ULL},
+      {kSelectiveRebuild, kTriageFailed, 20685, 116220, 0x941d750113d761ceULL},
+      {kCompaction, kForced, 22558, 0, 0x7ffbc9cc15c8d36eULL},
   };
-  const Rows plain_rows = {
-      {kInitialBuild, kNone, 0, 0, 0xd854ada1a4850a87ULL},
-      {kFastInsert, kNone, 87, 361, 0x6bc618596a7a22ffULL},
-      {kFastMixed, kNone, 63, 273, 0xe977c8b661d1cdd1ULL},
-      {kSelectiveRebuild, kCrossBlock, 20226, 86560, 0x32e4bb68afe10154ULL},
-      {kSelectiveRebuild, kCrossBlock, 20414, 92603, 0xadce3a879e675347ULL},
-      {kSelectiveRebuild, kTriageFailed, 20377, 98280, 0x7d7f815400a6e9d0ULL},
-      {kSelectiveRebuild, kCrossBlock, 20352, 97782, 0x628d758e61417085ULL},
-      {kSelectiveRebuild, kTriageFailed, 20435, 102554, 0xb4481c28d684eb80ULL},
-      {kSelectiveRebuild, kCrossBlock, 20532, 104848, 0xf9301e052d571712ULL},
-      {kSelectiveRebuild, kTriageFailed, 20670, 109137, 0xbc9f64328f10d53aULL},
-      {kSelectiveRebuild, kCrossBlock, 20670, 109962, 0xf06a8c1e45fe6e1ULL},
-      {kSelectiveRebuild, kTriageFailed, 20648, 112779, 0x5882ad2870e6fae1ULL},
-      {kSelectiveRebuild, kCrossBlock, 20801, 116318, 0xf08e81d0a2360c5dULL},
-      {kSelectiveRebuild, kTriageFailed, 20802, 118378, 0x8839116ecb0a3d91ULL},
-      {kSelectiveRebuild, kCrossBlock, 20790, 119091, 0x4e58233bc8c3687eULL},
-      {kSelectiveRebuild, kTriageFailed, 18203, 7371, 0x3268c2f72466b076ULL},
-      {kCompaction, kForced, 22534, 0, 0x80980232c2efdad7ULL},
-  };
-  // Facade order: connectivity, merging biconnectivity, and biconnectivity
-  // with the block-merge algebra off (merge_search_limit = 0).
-  const std::vector<Rows> golden = {conn_rows, merge_rows, plain_rows};
+
+  // Facade order: connectivity, then biconnectivity.
+  const std::vector<Rows> golden = {conn_rows, merge_rows};
   const std::vector<std::set<Path>> every_path = {
       {kInitialBuild, kFastInsert, kSelectiveRebuild, kCompaction},
-      {kInitialBuild, kFastInsert, kFastMixed, kSelectiveRebuild, kCompaction},
       {kInitialBuild, kFastInsert, kFastMixed, kSelectiveRebuild, kCompaction},
   };
 
@@ -493,11 +496,10 @@ TEST(FacadeGoldenTrace, PathsWritesAndSurfacesPinned) {
       dynamic::DynamicConnectivity dc(graph::Graph(base), opt);
       got.push_back(run_golden_trace(dc, trace));
     }
-    for (const bool merging : {true, false}) {
+    {
       dynamic::DynamicBiconnOptions opt;
       opt.oracle.k = 4;
       opt.rebuild_threads = threads;
-      if (!merging) opt.merge_search_limit = 0;
       dynamic::DynamicBiconnectivity dbc(graph::Graph(base), opt);
       got.push_back(run_golden_trace(dbc, trace));
     }
@@ -573,7 +575,9 @@ TEST(ParallelRebuildRaceHunt, ShardedWriterVsPinnedReaders) {
         const bool b1 = snap->biconnected(u, v);
         ASSERT_EQ(c1, snap->connected(u, v));
         ASSERT_EQ(b1, snap->biconnected(u, v));
-        if (b1) ASSERT_TRUE(c1);
+        if (b1) {
+          ASSERT_TRUE(c1);
+        }
         ASSERT_EQ(snap->is_articulation(u), snap->is_articulation(u));
       }
     });

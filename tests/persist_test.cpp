@@ -471,6 +471,8 @@ TEST(EpochHistory, TimeTravelMatchesPerEpochGroundTruth) {
                 brute.is_articulation(p.u));
       EXPECT_EQ(history.answer_at(Kind::kBridge, p.u, p.v, e),
                 brute.is_bridge(p.u, p.v));
+      EXPECT_EQ(history.answer_at(Kind::kEdgeBcc, p.u, p.v, e),
+                brute.has_edge(p.u, p.v));
     }
   }
 }
@@ -485,23 +487,20 @@ TEST(EpochHistory, BatchedTimeTravelQueries) {
   std::vector<std::uint8_t> want;
   for (int i = 0; i < 200; ++i) {
     dynamic::TimeTravelQuery q;
-    q.kind = Kind(rng.next() % 5);
+    q.kind = Kind(rng.next() % 6);
     q.u = vertex_id(rng.next() % HistoryFixture::kN);
     q.v = vertex_id(rng.next() % HistoryFixture::kN);
     q.epoch = rng.next() % fx.edges_at.size();
-    queries.push_back(q);
-    const BruteSurface brute(HistoryFixture::kN, fx.edges_at[q.epoch]);
-    bool expect = false;
-    switch (q.kind) {
-      case Kind::kConnected: expect = brute.connected(q.u, q.v); break;
-      case Kind::kBiconnected: expect = brute.biconnected(q.u, q.v); break;
-      case Kind::kTwoEdgeConnected:
-        expect = brute.two_edge_connected(q.u, q.v);
-        break;
-      case Kind::kArticulation: expect = brute.is_articulation(q.u); break;
-      case Kind::kBridge: expect = brute.is_bridge(q.u, q.v); break;
+    const EdgeList& edges = fx.edges_at[q.epoch];
+    if (q.kind == Kind::kEdgeBcc && !edges.empty() && rng.next() % 2 == 0) {
+      // Random pairs are rarely edges: aim half the probes at one.
+      const Edge e = edges[rng.next() % edges.size()];
+      q.u = e.u;
+      q.v = e.v;
     }
-    want.push_back(expect ? 1 : 0);
+    queries.push_back(q);
+    const BruteSurface brute(HistoryFixture::kN, edges);
+    want.push_back(brute.answer({q.kind, q.u, q.v}) ? 1 : 0);
   }
   EXPECT_EQ(dynamic::answer_time_travel(history, queries), want);
 }

@@ -1,19 +1,15 @@
 // Shared helpers for the persistence/recovery suites: scratch directories
-// under the test's working directory, a brute-force full-surface oracle
-// (sequential Hopcroft–Tarjan, the same ground truth the static oracle
-// tests trust), and generic surface cross-checking.
+// under the test's working directory, plus the shared brute-force
+// reference (test_util.hpp).
 #pragma once
 
 #include <gtest/gtest.h>
 #include <stdlib.h>
 
-#include <cstdint>
 #include <filesystem>
 #include <string>
-#include <vector>
 
-#include "graph/graph.hpp"
-#include "primitives/small_biconn.hpp"
+#include "test_util.hpp"
 
 namespace wecc::testutil {
 
@@ -39,71 +35,5 @@ class ScratchDir {
  private:
   std::string path_;
 };
-
-/// Uncounted ground truth for the full query surface of one edge set.
-class BruteSurface {
- public:
-  BruteSurface(std::size_t n, const graph::EdgeList& edges)
-      : g_(n), edges_(edges) {
-    for (const graph::Edge& e : edges) g_.add_edge(e.u, e.v);
-    bc_ = primitives::biconnectivity(g_);
-  }
-
-  [[nodiscard]] bool connected(graph::vertex_id u, graph::vertex_id v) const {
-    return bc_.cc_label[u] == bc_.cc_label[v];
-  }
-  [[nodiscard]] bool biconnected(graph::vertex_id u,
-                                 graph::vertex_id v) const {
-    return u == v || bc_.same_bcc(g_, u, v);
-  }
-  [[nodiscard]] bool two_edge_connected(graph::vertex_id u,
-                                        graph::vertex_id v) const {
-    return u == v || bc_.tecc_label[u] == bc_.tecc_label[v];
-  }
-  [[nodiscard]] bool is_articulation(graph::vertex_id v) const {
-    return bc_.is_artic[v] != 0;
-  }
-  [[nodiscard]] bool is_bridge(graph::vertex_id u, graph::vertex_id v) const {
-    for (std::size_t i = 0; i < edges_.size(); ++i) {
-      const graph::Edge& e = edges_[i];
-      const bool match = (e.u == u && e.v == v) || (e.u == v && e.v == u);
-      if (match && bc_.is_bridge[i]) return true;
-    }
-    return false;
-  }
-  [[nodiscard]] const primitives::BiconnResult& result() const noexcept {
-    return bc_;
-  }
-  [[nodiscard]] const graph::EdgeList& edges() const noexcept {
-    return edges_;
-  }
-
- private:
-  primitives::LocalGraph g_;
-  graph::EdgeList edges_;
-  primitives::BiconnResult bc_;
-};
-
-/// Cross-check any object exposing the five query methods (QueryView,
-/// DynamicBiconnectivity, BiconnSnapshot...) against brute force on the
-/// given vertex pairs.
-template <typename Q>
-void expect_full_surface_eq(const Q& got, const BruteSurface& want,
-                            const std::vector<graph::Edge>& pairs,
-                            const char* where) {
-  for (const graph::Edge& p : pairs) {
-    EXPECT_EQ(got.connected(p.u, p.v), want.connected(p.u, p.v))
-        << where << ": connected(" << p.u << "," << p.v << ")";
-    EXPECT_EQ(got.biconnected(p.u, p.v), want.biconnected(p.u, p.v))
-        << where << ": biconnected(" << p.u << "," << p.v << ")";
-    EXPECT_EQ(got.two_edge_connected(p.u, p.v),
-              want.two_edge_connected(p.u, p.v))
-        << where << ": 2ec(" << p.u << "," << p.v << ")";
-    EXPECT_EQ(got.is_articulation(p.u), want.is_articulation(p.u))
-        << where << ": artic(" << p.u << ")";
-    EXPECT_EQ(got.is_bridge(p.u, p.v), want.is_bridge(p.u, p.v))
-        << where << ": bridge(" << p.u << "," << p.v << ")";
-  }
-}
 
 }  // namespace wecc::testutil

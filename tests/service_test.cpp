@@ -26,7 +26,6 @@
 #include "graph/generators.hpp"
 #include "parallel/rng.hpp"
 #include "persist/crc32.hpp"
-#include "primitives/small_biconn.hpp"
 #include "service/client.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
@@ -57,56 +56,6 @@ std::chrono::milliseconds race_hunt_budget() {
   }
   return std::chrono::milliseconds(1500);  // smoke-level churn by default
 }
-
-/// Ground truth for mixed queries over one materialized graph (the
-/// dynamic_biconn_test Truth idiom).
-struct Truth {
-  primitives::LocalGraph lg{0};
-  primitives::BiconnResult bc;
-  std::vector<std::vector<std::uint32_t>> pair_edges;  // flattened n*n
-
-  explicit Truth(const Graph& g) : lg(g.num_vertices()) {
-    const std::size_t n = g.num_vertices();
-    pair_edges.resize(n * n);
-    for (const Edge& e : g.edge_list()) {
-      const auto id = lg.add_edge(e.u, e.v);
-      if (e.u != e.v) {
-        pair_edges[std::size_t(e.u) * n + e.v].push_back(id);
-        pair_edges[std::size_t(e.v) * n + e.u].push_back(id);
-      }
-    }
-    bc = primitives::biconnectivity(lg);
-  }
-
-  [[nodiscard]] bool answer(const MixedQuery& q) const {
-    switch (q.kind) {
-      case MixedQuery::Kind::kConnected:
-        return bc.cc_label[q.u] == bc.cc_label[q.v];
-      case MixedQuery::Kind::kBiconnected:
-        return q.u == q.v || bc.same_bcc(lg, q.u, q.v);
-      case MixedQuery::Kind::kTwoEdgeConnected:
-        return q.u == q.v || (bc.cc_label[q.u] == bc.cc_label[q.v] &&
-                              bc.two_edge_connected(q.u, q.v));
-      case MixedQuery::Kind::kArticulation:
-        return bc.is_artic[q.u] != 0;
-      case MixedQuery::Kind::kBridge: {
-        if (q.u == q.v) return false;
-        const auto& ids =
-            pair_edges[std::size_t(q.u) * lg.num_vertices() + q.v];
-        for (const auto e : ids) {
-          if (bc.is_bridge[e]) return true;
-        }
-        return false;
-      }
-      case MixedQuery::Kind::kEdgeBcc:
-        // Every present non-self-loop edge belongs to exactly one block.
-        return q.u != q.v &&
-               !pair_edges[std::size_t(q.u) * lg.num_vertices() + q.v]
-                    .empty();
-    }
-    return false;
-  }
-};
 
 std::vector<MixedQuery> random_mixed(std::size_t n, std::size_t count,
                                      std::uint64_t seed) {
@@ -403,7 +352,7 @@ TEST(ServiceLoopback, EndToEndCrossChecked) {
     }
 
     // Every answer this epoch cross-checks against from-scratch truth.
-    const Truth truth(model.materialize());
+    const testutil::BruteSurface truth(model.materialize());
     service::QueryRequest req;
     req.pin_epoch = applied.report.epoch;
     req.queries = random_mixed(n, 200, rs);

@@ -1,15 +1,20 @@
 // Shared ground-truth helpers for the test suite (uncounted brute force).
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
 #include <cstdint>
 #include <map>
 #include <stdexcept>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "dynamic/batch_query.hpp"
 #include "dynamic/durability.hpp"
 #include "graph/graph.hpp"
+#include "primitives/small_biconn.hpp"
 
 namespace wecc::testutil {
 
@@ -136,6 +141,121 @@ inline bool is_spanning_forest(const graph::Graph& g,
     dsu[std::max(a, b)] = std::min(a, b);
   }
   return true;
+}
+
+/// Uncounted ground truth for the full query surface of one edge multiset:
+/// sequential Hopcroft–Tarjan, the same engine the static oracle tests
+/// trust, plus a hashed index from each unordered vertex pair to its edge
+/// copies. The one reference every dynamic, persistence and service suite
+/// compares against.
+class BruteSurface {
+ public:
+  BruteSurface(std::size_t n, const graph::EdgeList& edges)
+      : g_(n), edges_(edges) {
+    for (const graph::Edge& e : edges) {
+      const std::uint32_t id = g_.add_edge(e.u, e.v);
+      if (e.u != e.v) pair_edges_[pair_key(e.u, e.v)].push_back(id);
+    }
+    bc_ = primitives::biconnectivity(g_);
+  }
+  explicit BruteSurface(const graph::Graph& g)
+      : BruteSurface(g.num_vertices(), g.edge_list()) {}
+
+  [[nodiscard]] bool connected(graph::vertex_id u, graph::vertex_id v) const {
+    return bc_.cc_label[u] == bc_.cc_label[v];
+  }
+  [[nodiscard]] bool biconnected(graph::vertex_id u,
+                                 graph::vertex_id v) const {
+    return u == v || bc_.same_bcc(g_, u, v);
+  }
+  [[nodiscard]] bool two_edge_connected(graph::vertex_id u,
+                                        graph::vertex_id v) const {
+    return u == v || bc_.two_edge_connected(u, v);
+  }
+  [[nodiscard]] bool is_articulation(graph::vertex_id v) const {
+    return bc_.is_artic[v] != 0;
+  }
+  /// Pair-level bridge: some copy of (u, v) is a bridge (a parallel copy
+  /// makes every copy a non-bridge, matching the oracle's doubled-edge
+  /// rule).
+  [[nodiscard]] bool is_bridge(graph::vertex_id u, graph::vertex_id v) const {
+    for (const std::uint32_t id : copies(u, v)) {
+      if (bc_.is_bridge[id]) return true;
+    }
+    return false;
+  }
+  /// Is some non-self-loop copy of (u, v) present? Exactly the edges that
+  /// belong to a block.
+  [[nodiscard]] bool has_edge(graph::vertex_id u, graph::vertex_id v) const {
+    return !copies(u, v).empty();
+  }
+  /// Hopcroft–Tarjan block of the present non-self-loop edge (u, v); every
+  /// copy of a pair lies in one block.
+  [[nodiscard]] std::uint32_t edge_block(graph::vertex_id u,
+                                         graph::vertex_id v) const {
+    return bc_.edge_bcc[copies(u, v).at(0)];
+  }
+
+  /// The boolean answer to one mixed query (kEdgeBcc: is the edge present,
+  /// i.e. does it have a block).
+  [[nodiscard]] bool answer(const dynamic::MixedQuery& q) const {
+    using Kind = dynamic::MixedQuery::Kind;
+    switch (q.kind) {
+      case Kind::kConnected: return connected(q.u, q.v);
+      case Kind::kBiconnected: return biconnected(q.u, q.v);
+      case Kind::kTwoEdgeConnected: return two_edge_connected(q.u, q.v);
+      case Kind::kArticulation: return is_articulation(q.u);
+      case Kind::kBridge: return is_bridge(q.u, q.v);
+      case Kind::kEdgeBcc: return has_edge(q.u, q.v);
+    }
+    return false;
+  }
+
+  [[nodiscard]] const primitives::BiconnResult& result() const noexcept {
+    return bc_;
+  }
+  [[nodiscard]] const graph::EdgeList& edges() const noexcept {
+    return edges_;
+  }
+
+ private:
+  static std::uint64_t pair_key(graph::vertex_id u, graph::vertex_id v) {
+    return (std::uint64_t(std::min(u, v)) << 32) | std::max(u, v);
+  }
+  /// Edge ids of the non-self-loop copies of (u, v); empty when absent.
+  [[nodiscard]] const std::vector<std::uint32_t>& copies(
+      graph::vertex_id u, graph::vertex_id v) const {
+    static const std::vector<std::uint32_t> kNone;
+    const auto it = pair_edges_.find(pair_key(u, v));
+    return it == pair_edges_.end() ? kNone : it->second;
+  }
+
+  primitives::LocalGraph g_;
+  graph::EdgeList edges_;
+  primitives::BiconnResult bc_;
+  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> pair_edges_;
+};
+
+/// Cross-check any object exposing the five query methods (QueryView,
+/// DynamicBiconnectivity, BiconnSnapshot...) against brute force on the
+/// given vertex pairs.
+template <typename Q>
+void expect_full_surface_eq(const Q& got, const BruteSurface& want,
+                            const std::vector<graph::Edge>& pairs,
+                            const char* where) {
+  for (const graph::Edge& p : pairs) {
+    EXPECT_EQ(got.connected(p.u, p.v), want.connected(p.u, p.v))
+        << where << ": connected(" << p.u << "," << p.v << ")";
+    EXPECT_EQ(got.biconnected(p.u, p.v), want.biconnected(p.u, p.v))
+        << where << ": biconnected(" << p.u << "," << p.v << ")";
+    EXPECT_EQ(got.two_edge_connected(p.u, p.v),
+              want.two_edge_connected(p.u, p.v))
+        << where << ": 2ec(" << p.u << "," << p.v << ")";
+    EXPECT_EQ(got.is_articulation(p.u), want.is_articulation(p.u))
+        << where << ": artic(" << p.u << ")";
+    EXPECT_EQ(got.is_bridge(p.u, p.v), want.is_bridge(p.u, p.v))
+        << where << ": bridge(" << p.u << "," << p.v << ")";
+  }
 }
 
 }  // namespace wecc::testutil

@@ -61,7 +61,6 @@
 #include "primitives/blocked_lca.hpp"
 #include "primitives/euler_tour.hpp"
 #include "primitives/lca.hpp"
-#include "primitives/list_ranking.hpp"
 #include "primitives/small_biconn.hpp"
 #include "primitives/union_find.hpp"
 #include "service/api.hpp"

@@ -28,7 +28,7 @@
 
 #include "graph/generators.hpp"
 #include "parallel/rng.hpp"
-#include "primitives/small_biconn.hpp"
+#include "persist/history.hpp"
 #include "service/client.hpp"
 
 namespace {
@@ -204,54 +204,6 @@ class Mirror {
   std::uint64_t epoch_ = 0;
 };
 
-/// Ground truth over one materialized mirror state (test-suite Truth
-/// idiom, with a hash map instead of an n^2 pair matrix).
-struct Truth {
-  primitives::LocalGraph lg;
-  primitives::BiconnResult bc;
-  std::unordered_map<std::uint64_t, std::uint32_t> edge_id;
-
-  explicit Truth(const Mirror& mirror) : lg(mirror.num_vertices()) {
-    for (const graph::Edge& e : mirror.edges()) {
-      edge_id.emplace((std::uint64_t(e.u) << 32) | e.v, lg.add_edge(e.u, e.v));
-    }
-    bc = primitives::biconnectivity(lg);
-  }
-
-  [[nodiscard]] bool answer(const dynamic::MixedQuery& q) const {
-    using Kind = dynamic::MixedQuery::Kind;
-    const vertex_id u = q.u;
-    const vertex_id v = q.v;
-    switch (q.kind) {
-      case Kind::kConnected:
-        return bc.cc_label[u] == bc.cc_label[v];
-      case Kind::kBiconnected:
-        return u == v || bc.same_bcc(lg, u, v);
-      case Kind::kTwoEdgeConnected:
-        return u == v || (bc.cc_label[u] == bc.cc_label[v] &&
-                          bc.two_edge_connected(u, v));
-      case Kind::kArticulation:
-        return bc.is_artic[u] != 0;
-      case Kind::kBridge: {
-        if (u == v) return false;
-        const auto key = (std::uint64_t(std::min(u, v)) << 32) |
-                         std::max(u, v);
-        const auto it = edge_id.find(key);
-        return it != edge_id.end() && bc.is_bridge[it->second] != 0;
-      }
-      case Kind::kEdgeBcc: {
-        // Every present non-self-loop edge belongs to exactly one block,
-        // so the boolean truth is just edge presence in the mirror.
-        if (u == v) return false;
-        const auto key = (std::uint64_t(std::min(u, v)) << 32) |
-                         std::max(u, v);
-        return edge_id.count(key) != 0;
-      }
-    }
-    return false;
-  }
-};
-
 // ---- latency bookkeeping -------------------------------------------------
 
 struct OpClassStats {
@@ -359,7 +311,12 @@ void reader_loop(const CliOptions& cli, std::uint16_t port, std::size_t id,
 void verify_round(service::Client& client, const Mirror& mirror,
                   const CliOptions& cli, std::uint64_t& rs, bool biconn,
                   RunResult& result) {
-  const Truth truth(mirror);
+  // The reference: the mirror's full surface derived from scratch by the
+  // same persist::DerivedState engine perfbench checks against.
+  const persist::HistoricView truth(
+      mirror.epoch(), persist::DerivedState::compute(mirror.num_vertices(),
+                                                     mirror.edges(),
+                                                     /*with_biconn=*/true));
   service::QueryRequest request;
   request.pin_epoch = mirror.epoch();
   request.queries.reserve(cli.verify_queries);
@@ -388,8 +345,9 @@ void verify_round(service::Client& client, const Mirror& mirror,
   std::size_t block_id_idx = 0;
   for (std::size_t i = 0; i < request.queries.size(); ++i) {
     ++result.verified_answers;
-    const bool want = truth.answer(request.queries[i]);
-    if (request.queries[i].kind == dynamic::MixedQuery::Kind::kEdgeBcc) {
+    const auto& q = request.queries[i];
+    const bool want = truth.answer(q.kind, q.u, q.v);
+    if (q.kind == dynamic::MixedQuery::Kind::kEdgeBcc) {
       // block_ids carries one id per kEdgeBcc query in order; a nonzero
       // id and a true boolean must come together.
       const bool id_nonzero = block_id_idx < response.block_ids.size() &&
@@ -401,13 +359,11 @@ void verify_round(service::Client& client, const Mirror& mirror,
                      "MISMATCH epoch %llu edge-bcc id (%u, %u): id %u "
                      "truth %u\n",
                      static_cast<unsigned long long>(mirror.epoch()),
-                     request.queries[i].u, request.queries[i].v,
-                     unsigned(id_nonzero), unsigned(want));
+                     q.u, q.v, unsigned(id_nonzero), unsigned(want));
       }
     }
     if ((response.answers[i] != 0) != want) {
       ++result.mismatches;
-      const auto& q = request.queries[i];
       std::fprintf(stderr,
                    "MISMATCH epoch %llu kind %u (%u, %u): server %u "
                    "truth %u\n",
