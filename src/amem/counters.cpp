@@ -14,10 +14,10 @@ namespace {
 std::atomic<std::size_t> g_next_slot{0};
 }  // namespace
 
-std::size_t shard_index() noexcept {
-  thread_local const std::size_t slot =
-      g_next_slot.fetch_add(1, std::memory_order_relaxed) % kCounterShards;
-  return slot;
+std::size_t assign_shard() noexcept {
+  t_shard = g_next_slot.fetch_add(1, std::memory_order_relaxed) %
+            kCounterShards;
+  return t_shard;
 }
 
 }  // namespace detail

@@ -33,8 +33,15 @@ struct alignas(64) CounterShard {
 
 namespace detail {
 extern CounterShard g_shards[kCounterShards];
-// Index of this thread's shard; assigned round-robin on first use.
-std::size_t shard_index() noexcept;
+inline constexpr std::size_t kNoShard = ~std::size_t{0};
+// This thread's shard slot, read inline by every charge; kNoShard until
+// the thread's first charge assigns it (round-robin, out of line).
+constinit inline thread_local std::size_t t_shard = kNoShard;
+std::size_t assign_shard() noexcept;
+inline std::size_t shard_index() noexcept {
+  const std::size_t slot = t_shard;
+  return slot != kNoShard ? slot : assign_shard();
+}
 }  // namespace detail
 
 /// Charge `n` reads of asymmetric memory.

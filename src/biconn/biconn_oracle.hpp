@@ -46,6 +46,7 @@
 #include "parallel/parallel_for.hpp"
 #include "parallel/shard.hpp"
 #include "primitives/blocked_lca.hpp"
+#include "primitives/flat_scratch.hpp"
 #include "primitives/small_biconn.hpp"
 
 namespace wecc::biconn {
@@ -284,11 +285,14 @@ class BiconnectivityOracle {
   }
 
   // ---- local views ----
-  /// A materialized local graph (Definition 4) in symmetric scratch.
+  /// A materialized local graph (Definition 4) in symmetric scratch. Its
+  /// construction's temporary tables are per-thread and reused
+  /// (detail::ViewScratch, released past primitives::kScratchRetainEntries);
+  /// SymScratch claims are unchanged.
   struct LocalView {
     primitives::LocalGraph lg{0};
     std::vector<vid> members;  // global vertex ids; local node i = members[i]
-    std::unordered_map<vid, std::uint32_t> member_idx;
+    primitives::FlatMap<vid> member_idx;  // inverse of members
     std::uint32_t parent_node = kNone;   // local node of the parent outside
     std::uint32_t parent_edge = kNone;   // local edge of the parent tree edge
     std::vector<std::uint32_t> child_nodes;  // per child (children order)
@@ -331,7 +335,7 @@ class BiconnectivityOracle {
   struct VirtualView {
     primitives::LocalGraph lg{0};
     std::vector<vid> members;
-    std::unordered_map<vid, std::uint32_t> member_idx;
+    primitives::FlatMap<vid> member_idx;  // inverse of members
     primitives::BiconnResult bc;
     vid comp_min = 0;
   };

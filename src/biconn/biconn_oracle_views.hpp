@@ -1,8 +1,59 @@
 // Local-graph construction for BiconnectivityOracle (Definition 4).
 // Included from biconn_oracle_impl.hpp.
+//
+// A view's lookup tables are flat (primitives::FlatMap). The ones that die
+// with the call live in per-thread ViewScratch, reused across calls and
+// trimmed back to primitives::kScratchRetainEntries after each; the view
+// keeps only its own member index. The SymScratch claims are unchanged.
 #pragma once
 
 namespace wecc::biconn {
+
+namespace detail {
+
+/// Per-thread scratch of local_view / virtual_view (they never nest).
+struct ViewScratch {
+  std::vector<graph::vertex_id> nbrs;
+  /// Child slots grouped by attach vertex: first slot per attach vertex,
+  /// then a per-slot link to the next slot of the group (ascending).
+  primitives::FlatMap<graph::vertex_id> attach_head;
+  std::vector<std::uint32_t> attach_next;
+  std::vector<std::uint8_t> child_used;
+  primitives::FlatMap<std::uint64_t> redirect;  // (u << 32 | w) -> cj
+  struct Dir {
+    std::uint32_t node;
+    std::uint32_t elem;   // clusters-tree edge element (cluster index)
+    std::uint32_t label;  // cluster-level label (kNone: joins nothing)
+  };
+  std::vector<Dir> dirs;
+  std::vector<std::uint32_t> gp;  // tiny DSU over dirs
+  primitives::FlatMap<std::uint32_t> by_dsu, by_label;
+  std::vector<std::uint32_t> prev_in_group;  // per group root (a dir index)
+  std::vector<graph::vertex_id> frontier, next;
+  bool busy = false;
+
+  void trim() {
+    primitives::trim_scratch(nbrs);
+    attach_head.clear_and_trim();
+    primitives::trim_scratch(attach_next);
+    primitives::trim_scratch(child_used);
+    redirect.clear_and_trim();
+    primitives::trim_scratch(dirs);
+    primitives::trim_scratch(gp);
+    by_dsu.clear_and_trim();
+    by_label.clear_and_trim();
+    primitives::trim_scratch(prev_in_group);
+    primitives::trim_scratch(frontier);
+    primitives::trim_scratch(next);
+  }
+};
+
+inline ViewScratch& view_scratch() {
+  thread_local ViewScratch s;
+  return s;
+}
+
+}  // namespace detail
 
 template <graph::GraphView G>
 std::uint32_t BiconnectivityOracle<G>::direction_of(std::size_t from,
@@ -30,8 +81,11 @@ BiconnectivityOracle<G>::local_view(std::size_t ci, bool use_tecc_equiv,
     lv.members = decomp_.cluster(s).members;
   }
   amem::SymScratch scratch(4 * lv.members.size() + 8);
+  const primitives::ScratchUse use(detail::view_scratch());
+  detail::ViewScratch& vs = use.scratch();
+  lv.member_idx.reserve(lv.members.size());
   for (std::uint32_t i = 0; i < lv.members.size(); ++i) {
-    lv.member_idx.emplace(lv.members[i], i);
+    lv.member_idx.try_emplace(lv.members[i], i);
   }
 
   const bool has_parent = cparent_[ci] != vid(ci);
@@ -46,12 +100,20 @@ BiconnectivityOracle<G>::local_view(std::size_t ci, bool use_tecc_equiv,
   }
 
   // Attach-vertex lookup for fast tree-instance detection: child slots
-  // grouped by their attach vertex in this cluster.
-  std::unordered_map<vid, std::vector<std::uint32_t>> attach_slots;
-  for (std::uint32_t sl = 0; sl < nch; ++sl) {
-    attach_slots[attach_[children_[children_off_[ci] + sl]]].push_back(sl);
+  // grouped by their attach vertex in this cluster, each group ascending
+  // (linked back to front so every head is the group's smallest slot).
+  vs.attach_head.clear();
+  vs.attach_next.assign(nch, kNone);
+  for (std::uint32_t sl = nch; sl-- > 0;) {
+    const auto [head, fresh] =
+        vs.attach_head.try_emplace(attach_[children_[children_off_[ci] + sl]],
+                                   sl);
+    if (!fresh) {
+      vs.attach_next[sl] = *head;
+      *head = sl;
+    }
   }
-  std::vector<std::uint8_t> child_used(nch, 0);
+  vs.child_used.assign(nch, 0);
   bool parent_used = false;
 
   // Redirect lookup for category-3 instances: during a construction the
@@ -60,11 +122,11 @@ BiconnectivityOracle<G>::local_view(std::size_t ci, bool use_tecc_equiv,
   // to the live rho — for_boundary_edges_of drops instances whose far
   // endpoint was discovered into this cluster late, so those never reach
   // the cache.
-  std::unordered_map<std::uint64_t, vid> redirect;
+  vs.redirect.clear();
   if (from_cache) {
-    redirect.reserve(cache_->boundary[ci].size());
+    vs.redirect.reserve(cache_->boundary[ci].size());
     for (const BoundaryInstance& b : cache_->boundary[ci]) {
-      redirect.emplace((std::uint64_t(b.u) << 32) | b.w, b.cj);
+      vs.redirect.try_emplace((std::uint64_t(b.u) << 32) | b.w, b.cj);
     }
   }
 
@@ -76,17 +138,15 @@ BiconnectivityOracle<G>::local_view(std::size_t ci, bool use_tecc_equiv,
   };
 
   // Categories 1 (intra + tree edges) and 3 (redirected boundary edges).
-  std::vector<vid> nbrs;
   for (std::uint32_t mi = 0; mi < nm; ++mi) {
     const vid u = lv.members[mi];
-    nbrs.clear();
-    decomp_.graph().for_neighbors(u, [&](vid w) { nbrs.push_back(w); });
-    std::sort(nbrs.begin(), nbrs.end());
-    for (const vid w : nbrs) {
+    vs.nbrs.clear();
+    decomp_.graph().for_neighbors(u, [&](vid w) { vs.nbrs.push_back(w); });
+    std::sort(vs.nbrs.begin(), vs.nbrs.end());
+    for (const vid w : vs.nbrs) {
       if (w == u) continue;  // self-loops are biconnectivity-inert
-      const auto mit = lv.member_idx.find(w);
-      if (mit != lv.member_idx.end()) {
-        if (w > u) add_edge(mi, mit->second, u, w);  // one side adds
+      if (const std::uint32_t wi = lv.member_idx.find(w); wi != kNone) {
+        if (w > u) add_edge(mi, wi, u, w);  // one side adds
         continue;
       }
       // Boundary instance. The chosen tree instances become edges to their
@@ -98,24 +158,20 @@ BiconnectivityOracle<G>::local_view(std::size_t ci, bool use_tecc_equiv,
         continue;
       }
       bool was_tree_child = false;
-      if (const auto it = attach_slots.find(u); it != attach_slots.end()) {
-        for (const std::uint32_t sl : it->second) {
-          const vid d = children_[children_off_[ci] + sl];
-          if (!child_used[sl] && w == croot_[d]) {
-            child_used[sl] = 1;
-            lv.child_edges[sl] = add_edge(mi, lv.child_nodes[sl], u, w);
-            was_tree_child = true;
-            break;
-          }
+      for (std::uint32_t sl = vs.attach_head.find(u); sl != kNone;
+           sl = vs.attach_next[sl]) {
+        const vid d = children_[children_off_[ci] + sl];
+        if (!vs.child_used[sl] && w == croot_[d]) {
+          vs.child_used[sl] = 1;
+          lv.child_edges[sl] = add_edge(mi, lv.child_nodes[sl], u, w);
+          was_tree_child = true;
+          break;
         }
       }
       if (was_tree_child) continue;
       // Category 3: redirect to the outside node toward rho(w)'s cluster.
-      std::size_t ce;
-      if (const auto rit = redirect.find((std::uint64_t(u) << 32) | w);
-          rit != redirect.end()) {
-        ce = rit->second;
-      } else {
+      std::size_t ce = vs.redirect.find((std::uint64_t(u) << 32) | w);
+      if (ce == kNone) {
         const decomp::RhoResult rw = decomp_.rho(w);
         ce = decomp_.center_index(rw.center);
       }
@@ -134,11 +190,6 @@ BiconnectivityOracle<G>::local_view(std::size_t ci, bool use_tecc_equiv,
   // (during fixpoint rounds) equal cluster-level labels.
   {
     const auto& dsu = use_tecc_equiv ? dsu_te_ : dsu_bc_;
-    struct Dir {
-      std::uint32_t node;
-      std::uint32_t elem;   // clusters-tree edge element (cluster index)
-      std::uint32_t label;  // cluster-level label (kNone: joins nothing)
-    };
     // Label semantics (both relations): l'(elem) is by BC-labeling
     // construction the cluster-level *block* of that tree edge. Equal
     // blocks mean a simple cycle of the clusters multigraph passes through
@@ -153,7 +204,8 @@ BiconnectivityOracle<G>::local_view(std::size_t ci, bool use_tecc_equiv,
     // already sees such parallel instances as local edges, so they need no
     // category-2 chord.)
     const auto label_of = [&](std::uint32_t elem) { return lprime_[elem]; };
-    std::vector<Dir> dirs;
+    std::vector<detail::ViewScratch::Dir>& dirs = vs.dirs;
+    dirs.clear();
     if (has_parent) {
       dirs.push_back({lv.parent_node, std::uint32_t(ci),
                       label_of(std::uint32_t(ci))});
@@ -163,33 +215,38 @@ BiconnectivityOracle<G>::local_view(std::size_t ci, bool use_tecc_equiv,
       dirs.push_back({lv.child_nodes[sl], d, label_of(d)});
     }
     // Group by DSU class (and label when extra_lprime): tiny DSU on dirs.
-    std::vector<std::uint32_t> gp(dirs.size());
+    std::vector<std::uint32_t>& gp = vs.gp;
+    gp.resize(dirs.size());
     for (std::uint32_t i = 0; i < dirs.size(); ++i) gp[i] = i;
     const auto gfind = [&](std::uint32_t x) {
       while (gp[x] != x) x = gp[x] = gp[gp[x]];
       return x;
     };
-    std::unordered_map<std::uint32_t, std::uint32_t> by_dsu, by_label;
+    vs.by_dsu.clear();
+    vs.by_label.clear();
     for (std::uint32_t i = 0; i < dirs.size(); ++i) {
       const auto cls = dsu_find(dsu, dirs[i].elem);
-      if (const auto [it, fresh] = by_dsu.emplace(cls, i); !fresh) {
-        gp[gfind(i)] = gfind(it->second);
+      if (const auto [first, fresh] = vs.by_dsu.try_emplace(cls, i); !fresh) {
+        gp[gfind(i)] = gfind(*first);
       }
       if (extra_lprime && dirs[i].label != kNone) {
-        if (const auto [it, fresh] = by_label.emplace(dirs[i].label, i);
+        if (const auto [first, fresh] =
+                vs.by_label.try_emplace(dirs[i].label, i);
             !fresh) {
-          gp[gfind(i)] = gfind(it->second);
+          gp[gfind(i)] = gfind(*first);
         }
       }
     }
-    std::unordered_map<std::uint32_t, std::uint32_t> prev_in_group;
+    // Group roots are dir indices, so the last member seen per group is a
+    // dense array.
+    std::vector<std::uint32_t>& prev_in_group = vs.prev_in_group;
+    prev_in_group.assign(dirs.size(), kNone);
     for (std::uint32_t i = 0; i < dirs.size(); ++i) {
-      const auto gruop = gfind(i);
-      const auto [it, fresh] = prev_in_group.emplace(gruop, i);
-      if (!fresh) {
-        add_edge(dirs[it->second].node, dirs[i].node, kNo, kNo);
-        it->second = i;  // chain: c-1 edges for c directions
+      std::uint32_t& prev = prev_in_group[gfind(i)];
+      if (prev != kNone) {
+        add_edge(dirs[prev].node, dirs[i].node, kNo, kNo);
       }
+      prev = i;  // chain: c-1 edges for c directions
     }
   }
 
@@ -217,24 +274,26 @@ template <graph::GraphView G>
 typename BiconnectivityOracle<G>::VirtualView
 BiconnectivityOracle<G>::virtual_view(vid any_member) const {
   VirtualView vv;
+  const primitives::ScratchUse use(detail::view_scratch());
+  detail::ViewScratch& vs = use.scratch();
   // Exhaustive BFS (component size < k by construction).
-  std::vector<vid> frontier{any_member};
-  vv.member_idx.emplace(any_member, 0);
+  vs.frontier.assign(1, any_member);
+  vv.member_idx.try_emplace(any_member, 0);
   vv.members.push_back(any_member);
   amem::SymScratch scratch(2);
-  while (!frontier.empty()) {
-    std::vector<vid> next;
-    for (const vid u : frontier) {
+  while (!vs.frontier.empty()) {
+    vs.next.clear();
+    for (const vid u : vs.frontier) {
       decomp_.graph().for_neighbors(u, [&](vid w) {
-        if (vv.member_idx.emplace(w, std::uint32_t(vv.members.size()))
+        if (vv.member_idx.try_emplace(w, std::uint32_t(vv.members.size()))
                 .second) {
           vv.members.push_back(w);
           scratch.grow(2);
-          next.push_back(w);
+          vs.next.push_back(w);
         }
       });
     }
-    frontier.swap(next);
+    vs.frontier.swap(vs.next);
   }
   vv.comp_min = *std::min_element(vv.members.begin(), vv.members.end());
   vv.lg = primitives::LocalGraph(vv.members.size());

@@ -11,8 +11,6 @@
 // §5.3 biconnectivity oracle needs to name clusters-tree edges.
 #pragma once
 
-#include <unordered_set>
-
 #include "decomp/implicit_decomp.hpp"
 
 namespace wecc::decomp {
@@ -58,8 +56,9 @@ class ClustersGraph {
   void for_boundary_edges_of(const ClusterInfo& c, graph::vertex_id s,
                              F&& fn) const {
     using graph::vertex_id;
-    std::unordered_set<vertex_id> members(c.members.begin(),
-                                          c.members.end());
+    primitives::FlatMap<vertex_id> members;
+    members.reserve(c.members.size());
+    for (const vertex_id u : c.members) members.insert(u);
     amem::SymScratch scratch(c.members.size());
     std::vector<vertex_id> nbrs;
     for (const vertex_id u : c.members) {
@@ -67,7 +66,7 @@ class ClustersGraph {
       d_->graph().for_neighbors(u, [&](vertex_id w) { nbrs.push_back(w); });
       std::sort(nbrs.begin(), nbrs.end());
       for (const vertex_id w : nbrs) {
-        if (w == u || members.count(w)) continue;
+        if (w == u || members.contains(w)) continue;
         const RhoResult rw = d_->rho(w);
         if (rw.center == s) continue;  // member discovered late: skip
         // rw is never virtual here: w touches a >= 1 sized real cluster's

@@ -15,6 +15,12 @@
 // order; the parent pointers give the unique shortest path SP(v, rho0(v)),
 // and rho(v) is the first center on it from v's side.
 //
+// Scratch: the searches keep their visited table, discovery order and
+// predecessor indices in flat per-thread scratch (detail::SearchScratch),
+// reused across calls, so a steady-state rho allocates nothing. Buffers
+// that grew past primitives::kScratchRetainEntries are released after the
+// call. The amem::SymScratch claims are those of a per-call allocation.
+//
 // Unconnected graphs (§3 "Extension"): an unsampled component of size >= k
 // promotes its minimum vertex to a primary center (two-phase, so the pass is
 // deterministic and parallel); a component smaller than k gets an *implicit
@@ -24,7 +30,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
 #include "amem/sym_scratch.hpp"
@@ -32,6 +37,7 @@
 #include "graph/graph.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/rng.hpp"
+#include "primitives/flat_scratch.hpp"
 
 namespace wecc::decomp {
 
@@ -69,6 +75,54 @@ struct CenterSeed {
   graph::vertex_id v = graph::kNoVertex;
   bool primary = false;
 };
+
+namespace detail {
+
+/// Reused symmetric scratch of one search kind: the visited table, the
+/// discovery order with each vertex's BFS predecessor (as an index into
+/// the order) and a buffer for one vertex's sorted neighbours. Each kind
+/// has its own instance per thread (the accessors below), taken through
+/// primitives::ScratchUse, because the searches nest: cluster() and
+/// SECONDARYCENTERS call rho() while their own search is live; rho() calls
+/// nothing that searches.
+struct SearchScratch {
+  std::vector<graph::vertex_id> order;
+  std::vector<std::uint32_t> parent;  // parallel to order; parent[0] == 0
+  std::vector<graph::vertex_id> nbrs;
+  std::vector<graph::vertex_id> path;          // rho's reconstructed path
+  primitives::FlatMap<graph::vertex_id> seen;  // visited set
+  bool busy = false;
+
+  /// Empty the search state (a search's first step).
+  void clear() noexcept {
+    order.clear();
+    parent.clear();
+    seen.clear();
+  }
+  void trim() {
+    primitives::trim_scratch(order);
+    primitives::trim_scratch(parent);
+    primitives::trim_scratch(nbrs);
+    primitives::trim_scratch(path);
+    seen.clear_and_trim();
+  }
+};
+using ScratchUse = primitives::ScratchUse<SearchScratch>;
+
+inline SearchScratch& rho_scratch() {
+  thread_local SearchScratch s;
+  return s;
+}
+inline SearchScratch& cluster_scratch() {
+  thread_local SearchScratch s;
+  return s;
+}
+inline SearchScratch& secondary_scratch() {
+  thread_local SearchScratch s;
+  return s;
+}
+
+}  // namespace detail
 
 template <graph::GraphView G>
 class ImplicitDecomposition {
@@ -127,11 +181,15 @@ class ImplicitDecomposition {
     return set_.contains(v);
   }
 
-  /// Lemma 3.2. No asymmetric writes; O(k log n) scratch whp.
+  /// Lemma 3.2. No asymmetric writes; O(k log n) scratch whp. The scratch
+  /// is per-thread and reused across calls (detail::SearchScratch); the
+  /// words claimed through amem::SymScratch are the ones the search holds,
+  /// as when it was allocated per call. Safe to call from many threads.
   [[nodiscard]] RhoResult rho(graph::vertex_id v) const;
 
   /// Lemma 3.5: the cluster of center s (s may be a virtual center).
-  /// No asymmetric writes; O(|C| + k log n) scratch whp.
+  /// No asymmetric writes; O(|C| + k log n) scratch whp, per-thread and
+  /// reused like rho's (an instance of its own: rho runs inside it).
   [[nodiscard]] ClusterInfo cluster(graph::vertex_id s) const;
 
   /// Dense index of a (real) center in center_list(), by binary search.
@@ -150,18 +208,20 @@ class ImplicitDecomposition {
       : g_(&g), k_(k), set_(g.num_vertices()) {}
 
   /// Lexicographic BFS from v until `stop(u)` returns true for a discovered
-  /// vertex (checked in discovery order) or the component is exhausted or
-  /// `budget` vertices were discovered. Returns discovery order; parent_of
-  /// maps each discovered vertex to its BFS predecessor.
-  struct Search {
-    std::vector<graph::vertex_id> order;
-    std::unordered_map<graph::vertex_id, graph::vertex_id> parent_of;
-    std::size_t hit_index = ~std::size_t{0};  // index in order of the hit
-    [[nodiscard]] bool hit() const { return hit_index != ~std::size_t{0}; }
-  };
+  /// vertex (checked in discovery order) or the component is exhausted.
+  /// Leaves the discovery order and BFS predecessors in `s` and returns
+  /// the hit's index in the order, or kNoHit.
+  static constexpr std::size_t kNoHit = ~std::size_t{0};
   template <typename Stop>
-  Search lex_bfs(graph::vertex_id v, Stop&& stop,
-                 std::size_t budget = ~std::size_t{0}) const;
+  std::size_t lex_bfs(detail::SearchScratch& s, graph::vertex_id v,
+                      Stop&& stop) const;
+
+  /// The cluster search of cluster() and SECONDARYCENTERS: BFS from center
+  /// c pruned to vertices whose rho is c (Corollary 3.4 makes this
+  /// complete), in (member, ascending neighbour) order, appending each
+  /// member and its tree parent to `c_out` until it holds `max_members`.
+  void member_bfs(detail::SearchScratch& s, graph::vertex_id c,
+                  ClusterInfo& c_out, std::size_t max_members) const;
 
   /// rho(u) == s test used by cluster searches (avoids re-deriving paths).
   [[nodiscard]] bool rho_is(graph::vertex_id u, graph::vertex_id s) const {
@@ -183,69 +243,69 @@ class ImplicitDecomposition {
 
 template <graph::GraphView G>
 template <typename Stop>
-typename ImplicitDecomposition<G>::Search ImplicitDecomposition<G>::lex_bfs(
-    graph::vertex_id v, Stop&& stop, std::size_t budget) const {
+std::size_t ImplicitDecomposition<G>::lex_bfs(detail::SearchScratch& s,
+                                              graph::vertex_id v,
+                                              Stop&& stop) const {
   using graph::vertex_id;
-  Search s;
   amem::SymScratch scratch(2);
+  s.clear();
   s.order.push_back(v);
-  s.parent_of.emplace(v, v);
-  if (stop(v)) {
-    s.hit_index = 0;
-    return s;
-  }
-  std::vector<vertex_id> nbrs;
-  for (std::size_t i = 0; i < s.order.size() && s.order.size() < budget;
-       ++i) {
+  s.parent.push_back(0);
+  s.seen.insert(v);
+  if (stop(v)) return 0;
+  for (std::size_t i = 0; i < s.order.size(); ++i) {
     const vertex_id u = s.order[i];
-    nbrs.clear();
-    g_->for_neighbors(u, [&](vertex_id w) { nbrs.push_back(w); });
-    std::sort(nbrs.begin(), nbrs.end());
-    for (vertex_id w : nbrs) {
+    s.nbrs.clear();
+    g_->for_neighbors(u, [&](vertex_id w) { s.nbrs.push_back(w); });
+    std::sort(s.nbrs.begin(), s.nbrs.end());
+    for (const vertex_id w : s.nbrs) {
       if (w == u) continue;  // self-loop
-      if (s.parent_of.emplace(w, u).second) {
+      if (s.seen.insert(w)) {
         scratch.grow(2);
         s.order.push_back(w);
-        if (stop(w)) {
-          s.hit_index = s.order.size() - 1;
-          return s;
-        }
-        if (s.order.size() >= budget) break;
+        s.parent.push_back(std::uint32_t(i));
+        if (stop(w)) return s.order.size() - 1;
       }
     }
   }
-  return s;
+  return kNoHit;
 }
 
 template <graph::GraphView G>
 RhoResult ImplicitDecomposition<G>::rho(graph::vertex_id v) const {
   using graph::vertex_id;
   RhoResult r;
+  const detail::ScratchUse use(detail::rho_scratch());
+  detail::SearchScratch& s = use.scratch();
   // Find the nearest primary center rho0(v) in tie-broken order.
-  Search s = lex_bfs(v, [&](vertex_id u) { return set_.is_primary(u); });
-  if (!s.hit()) {
+  const std::size_t hit =
+      lex_bfs(s, v, [&](vertex_id u) { return set_.is_primary(u); });
+  if (hit == kNoHit) {
     // Component with no primary center: virtual center = minimum vertex.
     // (Size >= k cannot happen post-build — see the promotion pass.)
-    vertex_id mn = v;
-    for (vertex_id u : s.order) mn = std::min(mn, u);
-    r.center = mn;
+    std::size_t mi = 0;
+    for (std::size_t i = 1; i < s.order.size(); ++i) {
+      if (s.order[i] < s.order[mi]) mi = i;
+    }
+    r.center = s.order[mi];
     r.virtual_center = true;
-    if (mn != v) {
-      // First step of the path from v to mn: chase parents from mn to v.
-      vertex_id x = mn, prev = mn;
-      while (x != v) {
+    if (mi != 0) {
+      // First step of the path from v to the minimum: chase parents to v.
+      std::size_t x = mi, prev = mi;
+      while (x != 0) {
         prev = x;
-        x = s.parent_of.at(x);
+        x = s.parent[x];
       }
-      r.next_hop = prev;
+      r.next_hop = s.order[prev];
     }
     return r;
   }
   // Path v -> rho0(v): reconstruct by chasing parents from the hit.
-  std::vector<vertex_id> path;  // rho0 ... v (reversed)
-  for (vertex_id x = s.order[s.hit_index];; x = s.parent_of.at(x)) {
-    path.push_back(x);
-    if (x == v) break;
+  std::vector<vertex_id>& path = s.path;  // rho0 ... v (reversed)
+  path.clear();
+  for (std::size_t x = hit;; x = s.parent[x]) {
+    path.push_back(s.order[x]);
+    if (x == 0) break;
   }
   amem::SymScratch scratch(path.size());
   // First center from v's side (path is reversed: v is path.back()).
@@ -262,32 +322,40 @@ RhoResult ImplicitDecomposition<G>::rho(graph::vertex_id v) const {
 }
 
 template <graph::GraphView G>
-ClusterInfo ImplicitDecomposition<G>::cluster(graph::vertex_id s) const {
+void ImplicitDecomposition<G>::member_bfs(detail::SearchScratch& s,
+                                          graph::vertex_id c,
+                                          ClusterInfo& c_out,
+                                          std::size_t max_members) const {
   using graph::vertex_id;
-  ClusterInfo c;
-  // BFS from s pruned to members (Corollary 3.4 makes this complete).
-  std::unordered_map<vertex_id, char> seen;  // scratch
   amem::SymScratch scratch(2);
-  c.members.push_back(s);
-  c.parent.push_back(s);
-  seen.emplace(s, 1);
-  std::vector<vertex_id> nbrs;
-  for (std::size_t i = 0; i < c.members.size(); ++i) {
-    const vertex_id u = c.members[i];
-    nbrs.clear();
-    g_->for_neighbors(u, [&](vertex_id w) { nbrs.push_back(w); });
-    std::sort(nbrs.begin(), nbrs.end());
-    for (vertex_id w : nbrs) {
-      if (w == u || !seen.emplace(w, 1).second) continue;
+  s.clear();
+  c_out.members.push_back(c);
+  c_out.parent.push_back(c);
+  s.seen.insert(c);
+  for (std::size_t i = 0; i < c_out.members.size(); ++i) {
+    const vertex_id u = c_out.members[i];
+    s.nbrs.clear();
+    g_->for_neighbors(u, [&](vertex_id w) { s.nbrs.push_back(w); });
+    std::sort(s.nbrs.begin(), s.nbrs.end());
+    for (const vertex_id w : s.nbrs) {
+      if (w == u || !s.seen.insert(w)) continue;
       scratch.grow(1);
       const RhoResult rw = rho(w);
-      if (rw.center == s) {
-        c.members.push_back(w);
-        c.parent.push_back(rw.next_hop);
+      if (rw.center == c) {
+        c_out.members.push_back(w);
+        c_out.parent.push_back(rw.next_hop);
         scratch.grow(2);
+        if (c_out.members.size() >= max_members) return;
       }
     }
   }
+}
+
+template <graph::GraphView G>
+ClusterInfo ImplicitDecomposition<G>::cluster(graph::vertex_id s) const {
+  ClusterInfo c;
+  const detail::ScratchUse use(detail::cluster_scratch());
+  member_bfs(use.scratch(), s, c, ~std::size_t{0});
   return c;
 }
 
@@ -296,51 +364,35 @@ void ImplicitDecomposition<G>::secondary_centers(graph::vertex_id v,
                                                  bool parallel_children) {
   using graph::vertex_id;
   std::vector<vertex_id> pending{v};
+  ClusterInfo cl;  // the search's members and tree parents
+  std::vector<std::uint32_t> sub;
   while (!pending.empty()) {
     const vertex_id c = pending.back();
     pending.pop_back();
 
     // Search for the first k+1 vertices whose center is c (line 7).
-    std::vector<vertex_id> members, parents;
-    {
-      std::unordered_map<vertex_id, char> seen;
-      amem::SymScratch scratch(2);
-      members.push_back(c);
-      parents.push_back(c);
-      seen.emplace(c, 1);
-      std::vector<vertex_id> nbrs;
-      for (std::size_t i = 0;
-           i < members.size() && members.size() <= k_; ++i) {
-        const vertex_id u = members[i];
-        nbrs.clear();
-        g_->for_neighbors(u, [&](vertex_id w) { nbrs.push_back(w); });
-        std::sort(nbrs.begin(), nbrs.end());
-        for (vertex_id w : nbrs) {
-          if (w == u || !seen.emplace(w, 1).second) continue;
-          scratch.grow(1);
-          const RhoResult rw = rho(w);
-          if (rw.center == c) {
-            members.push_back(w);
-            parents.push_back(rw.next_hop);
-            scratch.grow(2);
-            if (members.size() > k_) break;
-          }
-        }
-      }
-    }
-    if (members.size() <= k_) continue;  // line 8: cluster fits
+    cl.members.clear();
+    cl.parent.clear();
+    const detail::ScratchUse use(detail::secondary_scratch());
+    member_bfs(use.scratch(), c, cl, k_ + 1);
+    if (cl.members.size() <= k_) continue;  // line 8: cluster fits
 
     // Build the (truncated) tree on the first k members; find the splitter
     // maximizing min(subtree, k - subtree) (line 9).
+    std::vector<vertex_id>& members = cl.members;
+    std::vector<vertex_id>& parents = cl.parent;
     members.resize(k_);
     parents.resize(k_);
-    std::unordered_map<vertex_id, std::uint32_t> idx;
-    for (std::uint32_t i = 0; i < members.size(); ++i) idx[members[i]] = i;
-    std::vector<std::uint32_t> sub(members.size(), 1);
+    primitives::FlatMap<vertex_id>& idx = use.scratch().seen;
+    idx.clear();
+    for (std::uint32_t i = 0; i < members.size(); ++i) {
+      idx.try_emplace(members[i], i);
+    }
+    sub.assign(members.size(), 1);
     for (std::size_t i = members.size(); i > 1; --i) {
       // members is in BFS order, so children come after parents.
-      const auto pit = idx.find(parents[i - 1]);
-      if (pit != idx.end()) sub[pit->second] += sub[i - 1];
+      const std::uint32_t pi = idx.find(parents[i - 1]);
+      if (pi != idx.kAbsent) sub[pi] += sub[i - 1];
     }
     std::size_t best = 0;
     std::uint32_t best_score = 0;
@@ -398,13 +450,14 @@ ImplicitDecomposition<G> ImplicitDecomposition<G>::build(
       const std::size_t lo = b * block, hi = std::min(n, lo + block);
       for (std::size_t vv = lo; vv < hi; ++vv) {
         const auto v = vertex_id(vv);
-        Search s = d.lex_bfs(
-            v, [&](vertex_id u) { return d.set_.is_primary(u); });
-        if (s.hit()) continue;
+        const detail::ScratchUse use(detail::rho_scratch());
+        detail::SearchScratch& s = use.scratch();
+        const auto primary = [&](vertex_id u) { return d.set_.is_primary(u); };
+        if (d.lex_bfs(s, v, primary) != kNoHit) continue;
         if (s.order.size() < opt.k) continue;  // implicit virtual center
-        vertex_id mn = v;
-        for (vertex_id u : s.order) mn = std::min(mn, u);
-        if (mn == v) promote[b].push_back(v);
+        if (*std::min_element(s.order.begin(), s.order.end()) == v) {
+          promote[b].push_back(v);
+        }
       }
     });
   }

@@ -3,9 +3,12 @@
 // for a pinned biconnectivity snapshot, over *mixed* query vectors
 // (connectivity + biconnectivity + articulation/bridge probes).
 //
-// Oracle queries are read-only (rho and the local views run in per-call
-// symmetric scratch, the center set and label array are written only at
-// build), so a blocked parallel_for over the query vector is race-free.
+// Oracle queries are read-only (rho and the local views run in symmetric
+// scratch that is per-thread and reused across calls, released back to
+// primitives::kScratchRetainEntries entries after each; their SymScratch
+// claims are what a per-call allocation would hold; the center set and
+// label array are written only at build), so a blocked parallel_for over
+// the query vector is race-free.
 // Each query stays at the static oracle's cost — O(k) expected reads for
 // connectivity, O(k^2) expected operations for biconnectivity — and the
 // engines add no writes beyond the output vector (one per query).

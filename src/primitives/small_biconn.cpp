@@ -3,11 +3,28 @@
 #include <algorithm>
 #include <cassert>
 
+#include "primitives/flat_scratch.hpp"
+
 namespace wecc::primitives {
 
 namespace {
 constexpr std::uint32_t kUnvisited = ~std::uint32_t{0};
-}
+
+/// The DFS and DSU arrays of one run, per thread and reused across runs:
+/// local graphs are O(k) and every biconnectivity query builds one.
+struct DfsScratch {
+  std::vector<std::uint32_t> disc, low, parent_edge, edge_stack, dsu, label;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> frames;
+  bool busy = false;
+
+  void trim() {
+    for (auto* v : {&disc, &low, &parent_edge, &edge_stack, &dsu, &label}) {
+      trim_scratch(*v);
+    }
+    trim_scratch(frames);
+  }
+};
+}  // namespace
 
 BiconnResult biconnectivity(const LocalGraph& g) {
   const std::size_t n = g.num_vertices();
@@ -19,11 +36,20 @@ BiconnResult biconnectivity(const LocalGraph& g) {
   r.cc_label.assign(n, kUnvisited);
   r.tecc_label.assign(n, kUnvisited);
 
-  std::vector<std::uint32_t> disc(n, kUnvisited), low(n, 0);
-  std::vector<std::uint32_t> parent_edge(n, kUnvisited);
-  std::vector<std::uint32_t> edge_stack;  // edge ids awaiting a block pop
+  thread_local DfsScratch tls;
+  const ScratchUse<DfsScratch> use(tls);
+  DfsScratch& s = use.scratch();
+  std::vector<std::uint32_t>& disc = s.disc;
+  std::vector<std::uint32_t>& low = s.low;
+  std::vector<std::uint32_t>& parent_edge = s.parent_edge;
+  disc.assign(n, kUnvisited);
+  low.assign(n, 0);
+  parent_edge.assign(n, kUnvisited);
+  std::vector<std::uint32_t>& edge_stack = s.edge_stack;  // awaiting a pop
+  edge_stack.clear();
   // Iterative DFS frame: (vertex, index into adj[vertex]).
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> frames;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>>& frames = s.frames;
+  frames.clear();
   std::uint32_t clock = 0;
 
   for (std::uint32_t root = 0; root < n; ++root) {
@@ -86,7 +112,8 @@ BiconnResult biconnectivity(const LocalGraph& g) {
 
   // 2-edge-connected components: connected components of non-bridge edges.
   {
-    std::vector<std::uint32_t> dsu(n);
+    std::vector<std::uint32_t>& dsu = s.dsu;
+    dsu.resize(n);
     for (std::uint32_t v = 0; v < n; ++v) dsu[v] = v;
     auto find = [&](std::uint32_t x) {
       while (dsu[x] != x) {
@@ -102,7 +129,8 @@ BiconnResult biconnectivity(const LocalGraph& g) {
       if (a != b) dsu[std::max(a, b)] = std::min(a, b);
     }
     // Canonical labels: index of the DSU root.
-    std::vector<std::uint32_t> label(n, kUnvisited);
+    std::vector<std::uint32_t>& label = s.label;
+    label.assign(n, kUnvisited);
     std::uint32_t next = 0;
     for (std::uint32_t v = 0; v < n; ++v) {
       const std::uint32_t rt = find(v);

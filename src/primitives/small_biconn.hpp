@@ -3,7 +3,10 @@
 //   * the ground-truth checker every oracle property test compares against,
 //   * the per-cluster *local graph* computations of §5.3 (size O(k), held
 //     entirely in symmetric scratch: no asymmetric reads/writes are charged
-//     here — callers charge for building the local graph).
+//     here — callers charge for building the local graph). The graph and
+//     result are the caller's; the lookup tables around them (member index,
+//     attach slots, redirects) are flat and, except the member index,
+//     per-thread and reused (biconn_oracle_views.hpp).
 //
 // Handles parallel edges (distinct edge ids; a duplicate acts as a back
 // edge, so a doubled edge is correctly non-bridge) and ignores self-loops.

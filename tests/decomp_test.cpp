@@ -1,12 +1,17 @@
 // Tests for the implicit k-decomposition (§3, Theorem 3.1): definitional
 // invariants (cluster size <= k, connectivity, O(n/k) centers), rho/cluster
 // consistency, the tie-broken shortest-path semantics, cost bounds, small
-// components and virtual centers, and the parallel-children variant.
+// components and virtual centers, the parallel-children variant, and the
+// reused per-thread search scratch against a plain hash-map reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <map>
 #include <set>
+#include <thread>
+#include <unordered_map>
 
 #include "amem/counters.hpp"
 #include "decomp/clusters_graph.hpp"
@@ -343,6 +348,193 @@ TEST(ClustersGraph, NeighborListingNeverWrites) {
     cg.for_neighbors(vertex_id(ci), [](vertex_id) {});
   }
   EXPECT_EQ(p.delta().writes, 0u);
+}
+
+// ---- Reused flat scratch vs a plain hash-map reference ----
+
+/// rho and cluster() as the kernel defined them before its scratch became
+/// flat and per-thread: a fresh unordered_map BFS per call. The kernel must
+/// match it field for field, member order included.
+struct Reference {
+  const Graph& g;
+  const Decomp& d;
+  std::size_t max_search = 0;  // largest rho search seen (vertices)
+
+  [[nodiscard]] std::vector<vertex_id> sorted_neighbors(vertex_id u) const {
+    const auto nb = g.neighbors_raw(u);
+    std::vector<vertex_id> out(nb.begin(), nb.end());
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+  decomp::RhoResult rho(vertex_id v) {
+    std::vector<vertex_id> order{v};
+    std::unordered_map<vertex_id, vertex_id> parent_of{{v, v}};
+    bool hit = d.centers().is_primary(v);
+    for (std::size_t i = 0; i < order.size() && !hit; ++i) {
+      const vertex_id u = order[i];
+      for (const vertex_id w : sorted_neighbors(u)) {
+        if (w == u || !parent_of.emplace(w, u).second) continue;
+        order.push_back(w);
+        if (d.centers().is_primary(w)) {
+          hit = true;
+          break;
+        }
+      }
+    }
+    max_search = std::max(max_search, order.size());
+    decomp::RhoResult r;
+    if (!hit) {
+      r.center = *std::min_element(order.begin(), order.end());
+      r.virtual_center = true;
+      if (r.center != v) {
+        vertex_id x = r.center, prev = r.center;
+        while (x != v) {
+          prev = x;
+          x = parent_of.at(x);
+        }
+        r.next_hop = prev;
+      }
+      return r;
+    }
+    std::vector<vertex_id> path;  // rho0 ... v
+    for (vertex_id x = order.back();; x = parent_of.at(x)) {
+      path.push_back(x);
+      if (x == v) break;
+    }
+    for (std::size_t i = path.size(); i > 0; --i) {
+      if (d.is_center(path[i - 1])) {
+        r.center = path[i - 1];
+        if (r.center != v) r.next_hop = path[path.size() - 2];
+        break;
+      }
+    }
+    return r;
+  }
+
+  decomp::ClusterInfo cluster(vertex_id s) {
+    decomp::ClusterInfo c;
+    c.members.push_back(s);
+    c.parent.push_back(s);
+    std::unordered_map<vertex_id, char> seen{{s, 1}};
+    for (std::size_t i = 0; i < c.members.size(); ++i) {
+      const vertex_id u = c.members[i];
+      for (const vertex_id w : sorted_neighbors(u)) {
+        if (w == u || !seen.emplace(w, 1).second) continue;
+        const decomp::RhoResult rw = rho(w);
+        if (rw.center == s) {
+          c.members.push_back(w);
+          c.parent.push_back(rw.next_hop);
+        }
+      }
+    }
+    return c;
+  }
+};
+
+bool same(const decomp::RhoResult& a, const decomp::RhoResult& b) {
+  return a.center == b.center && a.next_hop == b.next_hop &&
+         a.virtual_center == b.virtual_center;
+}
+
+/// Every vertex's rho and every (real or virtual) center's cluster agree
+/// with the reference; returns the largest rho search the graph needed.
+std::size_t expect_matches_reference(const Graph& g, const Decomp& d) {
+  Reference ref{g, d};
+  std::set<vertex_id> centers;
+  for (vertex_id v = 0; v < g.num_vertices(); ++v) {
+    const decomp::RhoResult want = ref.rho(v);
+    EXPECT_TRUE(same(d.rho(v), want)) << "rho(" << v << ")";
+    centers.insert(want.center);
+  }
+  for (const vertex_id s : centers) {
+    const decomp::ClusterInfo got = d.cluster(s), want = ref.cluster(s);
+    EXPECT_EQ(got.members, want.members) << "cluster(" << s << ")";
+    EXPECT_EQ(got.parent, want.parent) << "cluster(" << s << ")";
+  }
+  return ref.max_search;
+}
+
+TEST(DecompScratch, VirtualCenterOfSmallPrimaryFreeComponent) {
+  // A 5-vertex path beside a grid, k = 8: find a seed that leaves the path
+  // without a center, so its rho searches exhaust it and go virtual.
+  const Graph g = graph::gen::disjoint_union(graph::gen::path(5),
+                                             graph::gen::grid2d(12, 12));
+  for (std::uint64_t seed = 1; seed < 100; ++seed) {
+    const auto d = Decomp::build(g, opts(8, seed));
+    bool free = true;
+    for (vertex_id v = 0; v < 5; ++v) free = free && !d.is_center(v);
+    if (!free) continue;
+    EXPECT_TRUE(d.rho(4).virtual_center);
+    EXPECT_EQ(d.rho(4).center, 0u);
+    EXPECT_EQ(d.rho(4).next_hop, 3u);
+    expect_matches_reference(g, d);
+    return;
+  }
+  FAIL() << "no seed left the path unsampled";
+}
+
+TEST(DecompScratch, PrimaryFarAlongALongPath) {
+  // k = 1024 on a 3000-vertex path samples a handful of primaries at most,
+  // so some vertex's nearest primary lies hundreds of hops away: the
+  // visited table and order grow many times past their initial size.
+  const Graph g = graph::gen::path(3000);
+  const auto d = Decomp::build(g, opts(1024, 3));
+  EXPECT_GT(expect_matches_reference(g, d), 64u);
+}
+
+TEST(DecompScratch, LargeSearchThenSmallOnesOnOneThread) {
+  // A long path (few primaries, wide searches) beside a grid (narrow ones):
+  // the wide searches pass the retained-capacity cap, so the scratch is
+  // released after each, and the small ones after must see no stale state.
+  const Graph g = graph::gen::disjoint_union(graph::gen::path(2500),
+                                             graph::gen::grid2d(10, 10));
+  const auto d = Decomp::build(g, opts(1024, 5));
+  Reference ref{g, d};
+  for (const vertex_id far : {vertex_id(0), vertex_id(1249),
+                              vertex_id(2499)}) {
+    EXPECT_TRUE(same(d.rho(far), ref.rho(far))) << "rho(" << far << ")";
+    for (vertex_id v = 2500; v < g.num_vertices(); ++v) {
+      ASSERT_TRUE(same(d.rho(v), ref.rho(v))) << "rho(" << v << ")";
+      const decomp::RhoResult r = d.rho(v);
+      if (r.center == v) {
+        EXPECT_EQ(d.cluster(v).members, ref.cluster(v).members);
+      }
+    }
+  }
+  EXPECT_GT(ref.max_search, primitives::kScratchRetainEntries);
+}
+
+TEST(DecompScratch, ConcurrentRhoAndClusterCallsAgree) {
+  // Each thread owns its scratch: several threads sweeping rho and cluster
+  // over the same decomposition at once must all see the reference.
+  const Graph g = graph::gen::disjoint_union(
+      graph::gen::percolation_grid(40, 40, 0.5, 3), graph::gen::path(600));
+  const auto d = Decomp::build(g, opts(64, 2));
+  Reference ref{g, d};
+  const std::size_t n = g.num_vertices();
+  std::vector<decomp::RhoResult> want(n);
+  std::vector<std::vector<vertex_id>> want_members(n);
+  for (vertex_id v = 0; v < n; ++v) want[v] = ref.rho(v);
+  for (vertex_id v = 0; v < n; ++v) {
+    if (want[v].center == v) want_members[v] = ref.cluster(v).members;
+  }
+  std::atomic<std::size_t> mismatches{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t i = 0; i < n; ++i) {
+        const auto v = vertex_id((i + t * n / 4) % n);
+        const decomp::RhoResult r = d.rho(v);
+        if (!same(r, want[v])) ++mismatches;
+        if (r.center == v && d.cluster(v).members != want_members[v]) {
+          ++mismatches;
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0u);
 }
 
 }  // namespace
