@@ -194,10 +194,11 @@ struct Server::Impl {
 
   void stop() {
     if (stopping.exchange(true, std::memory_order_acq_rel)) return;
-    // Unblock the accept loop, then every session's recv.
+    // Unblock the accept loop, then every session's recv. The listener is
+    // closed only once the accept thread is joined: it reads the fd.
     listener.shutdown();
-    listener.close();
     if (accept_thread.joinable()) accept_thread.join();
+    listener.close();
     // Fail queued applies and drain the writer FIRST: a session blocked in
     // run_apply's result.get() must be unblocked (with its in-flight
     // result or this exception) before its thread can be joined. New
