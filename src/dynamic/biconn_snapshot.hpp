@@ -83,10 +83,10 @@ class BiconnPatch {
   /// Remember that an absorbed edge touched the component with this old
   /// label — the set the next selective rebuild must treat as dirty (even
   /// answer-preserving edges can shift cluster membership once the overlay
-  /// becomes the frozen graph of the next oracle version).
+  /// becomes the frozen graph of the next oracle version). Charges a write
+  /// only when the label is new: a repeat stores nothing.
   void touch_component(graph::vertex_id label) {
-    touched_.insert(label);
-    amem::count_write();
+    if (touched_.insert(label).second) amem::count_write();
   }
   [[nodiscard]] const std::unordered_set<graph::vertex_id>& touched()
       const noexcept {

@@ -278,7 +278,7 @@ class DynamicBiconnectivity
       staged.append_event(e);
       staged_paths.emplace_back();
       staged.touch_component(bu);
-      if (bv != bu) staged.touch_component(bv);
+      staged.touch_component(bv);
       if (count) ++report.absorbed_edges;
       return true;
     }

@@ -458,24 +458,24 @@ TEST(FacadeGoldenTrace, PathsWritesAndSurfacesPinned) {
   };
   const Rows merge_rows = {
       {kInitialBuild, kNone, 0, 0, 0xd854ada1a4850a87ULL},
-      {kFastInsert, kNone, 87, 361, 0x6bc618596a7a22ffULL},
-      {kFastMixed, kNone, 63, 273, 0xe977c8b661d1cdd1ULL},
-      {kFastInsert, kNone, 671, 38604, 0xa209b083865f27c6ULL},
-      {kFastInsert, kNone, 722, 45485, 0xa68ce5f3166193fcULL},
-      {kFastMixed, kNone, 1566, 54253, 0xfc190347762f495bULL},
-      {kFastInsert, kNone, 1295, 113449, 0xbab34adc88f6b4bdULL},
-      {kFastMixed, kNone, 3190, 150600, 0x4a85f082eb94f81ULL},
-      {kFastInsert, kNone, 901, 89294, 0x566eacf800eac8ddULL},
-      {kFastMixed, kNone, 3897, 180066, 0x46f6267d062bc40bULL},
-      {kFastInsert, kNone, 656, 71632, 0x6a92d2e413f36a06ULL},
-      {kFastMixed, kNone, 4599, 213390, 0x8a72a72c9929d70ULL},
-      {kFastInsert, kNone, 603, 59670, 0x3c42ebcaeda3ace8ULL},
-      {kFastMixed, kNone, 5141, 239569, 0xa9ae82500080dbaeULL},
-      {kFastInsert, kNone, 515, 48209, 0x77dfa518b738640eULL},
+      {kFastInsert, kNone, 83, 361, 0x6bc618596a7a22ffULL},
+      {kFastMixed, kNone, 47, 273, 0xe977c8b661d1cdd1ULL},
+      {kFastInsert, kNone, 642, 38604, 0xa209b083865f27c6ULL},
+      {kFastInsert, kNone, 680, 45485, 0xa68ce5f3166193fcULL},
+      {kFastMixed, kNone, 1385, 54253, 0xfc190347762f495bULL},
+      {kFastInsert, kNone, 1238, 113449, 0xbab34adc88f6b4bdULL},
+      {kFastMixed, kNone, 2933, 150600, 0x4a85f082eb94f81ULL},
+      {kFastInsert, kNone, 849, 89294, 0x566eacf800eac8ddULL},
+      {kFastMixed, kNone, 3576, 180066, 0x46f6267d062bc40bULL},
+      {kFastInsert, kNone, 600, 71632, 0x6a92d2e413f36a06ULL},
+      {kFastMixed, kNone, 4215, 213390, 0x8a72a72c9929d70ULL},
+      {kFastInsert, kNone, 550, 59670, 0x3c42ebcaeda3ace8ULL},
+      {kFastMixed, kNone, 4706, 239569, 0xa9ae82500080dbaeULL},
+      {kFastInsert, kNone, 463, 48209, 0x77dfa518b738640eULL},
       {kSelectiveRebuild, kTriageFailed, 20827, 122451, 0x3268c2f72466b076ULL},
-      {kSelectiveRebuild, kTriageFailed, 20708, 116932, 0xd6cdc9ce51d7fdd5ULL},
+      {kSelectiveRebuild, kTriageFailed, 20707, 116932, 0xd6cdc9ce51d7fdd5ULL},
       {kSelectiveRebuild, kTriageFailed, 20683, 116638, 0xf3c83c2c82904290ULL},
-      {kSelectiveRebuild, kTriageFailed, 20685, 116220, 0x941d750113d761ceULL},
+      {kSelectiveRebuild, kTriageFailed, 20684, 116220, 0x941d750113d761ceULL},
       {kCompaction, kForced, 22558, 0, 0x7ffbc9cc15c8d36eULL},
   };
 
