@@ -132,9 +132,7 @@ class BiconnBatchQueryEngine {
   }
 
   /// Block ids for the kEdgeBcc queries of a mixed vector, in query order
-  /// (non-kEdgeBcc entries are skipped). The service layer pairs this with
-  /// answer() so one request returns booleans for every kind plus ids for
-  /// the edge-block probes.
+  /// (non-kEdgeBcc entries are skipped).
   [[nodiscard]] std::vector<std::uint64_t> block_ids(
       std::span<const MixedQuery> queries, std::size_t grain = 16) const {
     std::vector<std::size_t> idx;
@@ -146,6 +144,34 @@ class BiconnBatchQueryEngine {
           const MixedQuery& q = queries[idx[i]];
           return snap_->edge_block_id(q.u, q.v);
         });
+  }
+
+  /// answer() and block_ids() from one pass, as the service answers a
+  /// request: each kEdgeBcc id is computed once and its boolean is
+  /// id != 0. Charges one write per answer and one per id.
+  struct AnswersWithIds {
+    std::vector<std::uint8_t> answers;
+    std::vector<std::uint64_t> block_ids;
+  };
+  [[nodiscard]] AnswersWithIds answer_with_block_ids(
+      std::span<const MixedQuery> queries, std::size_t grain = 16) const {
+    const auto is_id = [&](std::size_t i) {
+      return queries[i].kind == MixedQuery::Kind::kEdgeBcc;
+    };
+    const std::vector<std::uint64_t> raw = detail::parallel_map<std::uint64_t>(
+        queries.size(), grain, [&](std::size_t i) -> std::uint64_t {
+          const MixedQuery& q = queries[i];
+          if (is_id(i)) return snap_->edge_block_id(q.u, q.v);
+          return answer_one(q) ? 1 : 0;
+        });
+    AnswersWithIds out;
+    out.answers.resize(raw.size());
+    for (std::size_t i = 0; i < raw.size(); ++i) {
+      out.answers[i] = raw[i] != 0 ? 1 : 0;
+      if (is_id(i)) out.block_ids.push_back(raw[i]);
+    }
+    amem::count_write(out.block_ids.size());
+    return out;
   }
 
  private:

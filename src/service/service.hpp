@@ -35,18 +35,25 @@ namespace detail {
   return true;
 }
 
-inline std::vector<std::uint8_t> answer_all(
-    std::shared_ptr<const dynamic::Snapshot> snap,
-    std::span<const dynamic::MixedQuery> queries) {
+/// Answer a request's queries into `out` in one engine pass: a boolean per
+/// query, plus the block ids of the kEdgeBcc queries (only the
+/// biconnectivity snapshot has them; supports() already rejected kEdgeBcc
+/// on the other).
+inline void answer_all(std::shared_ptr<const dynamic::Snapshot> snap,
+                       std::span<const dynamic::MixedQuery> queries,
+                       QueryResponse& out) {
   std::vector<dynamic::VertexPair> pairs;
   pairs.reserve(queries.size());
   for (const dynamic::MixedQuery& q : queries) pairs.push_back({q.u, q.v});
-  return dynamic::BatchQueryEngine(std::move(snap)).connected(pairs);
+  out.answers = dynamic::BatchQueryEngine(std::move(snap)).connected(pairs);
 }
-inline std::vector<std::uint8_t> answer_all(
-    std::shared_ptr<const dynamic::BiconnSnapshot> snap,
-    std::span<const dynamic::MixedQuery> queries) {
-  return dynamic::BiconnBatchQueryEngine(std::move(snap)).answer(queries);
+inline void answer_all(std::shared_ptr<const dynamic::BiconnSnapshot> snap,
+                       std::span<const dynamic::MixedQuery> queries,
+                       QueryResponse& out) {
+  auto both = dynamic::BiconnBatchQueryEngine(std::move(snap))
+                  .answer_with_block_ids(queries);
+  out.answers = std::move(both.answers);
+  out.block_ids = std::move(both.block_ids);
 }
 
 template <typename Facade>
@@ -81,19 +88,6 @@ inline ApplyResult to_apply_result(const dynamic::BiconnUpdateReport& r) {
   out.rebuild_reason = static_cast<std::uint8_t>(r.rebuild_reason);
   out.absorb_rate_ppm = static_cast<std::uint64_t>(r.absorb_rate * 1e6);
   return out;
-}
-
-/// Block ids for the kEdgeBcc queries of a request; only the biconnectivity
-/// snapshot has them (supports() already rejected kEdgeBcc on the other).
-inline std::vector<std::uint64_t> edge_block_ids(
-    std::shared_ptr<const dynamic::Snapshot>,
-    std::span<const dynamic::MixedQuery>) {
-  return {};
-}
-inline std::vector<std::uint64_t> edge_block_ids(
-    std::shared_ptr<const dynamic::BiconnSnapshot> snap,
-    std::span<const dynamic::MixedQuery> queries) {
-  return dynamic::BiconnBatchQueryEngine(std::move(snap)).block_ids(queries);
 }
 
 }  // namespace detail
@@ -136,8 +130,7 @@ class FacadeService final : public ServiceHandler {
     }
     QueryResponse out;
     out.epoch = snap->epoch();
-    out.block_ids = detail::edge_block_ids(snap, req.queries);
-    out.answers = detail::answer_all(std::move(snap), req.queries);
+    detail::answer_all(std::move(snap), req.queries, out);
     return out;
   }
 

@@ -21,6 +21,7 @@
 #include <variant>
 #include <vector>
 
+#include "amem/counters.hpp"
 #include "dynamic/dynamic_biconnectivity.hpp"
 #include "dynamic/dynamic_connectivity.hpp"
 #include "graph/generators.hpp"
@@ -306,6 +307,57 @@ TEST(FacadeService, ConnectivityAnswersAndStatuses) {
   service::ApplyRequest bad;
   bad.batch.insertions = {{0, 9999}};
   EXPECT_THROW((void)svc.apply(bad), std::out_of_range);
+}
+
+TEST(FacadeService, EdgeBccAnswersComeFromTheirBlockIds) {
+  // Present-edge kEdgeBcc probes mixed with random probes of every kind
+  // (whose kEdgeBcc ones mostly miss): the service's one engine pass must answer each kEdgeBcc boolean
+  // as (its id != 0), return the ids in query order, answer the other
+  // kinds as the engine does, and charge one write per answer and per id.
+  const Graph g = graph::gen::percolation_grid(12, 12, 0.6, 5);
+  dynamic::DynamicBiconnOptions opt;
+  opt.oracle.k = 4;
+  dynamic::DynamicBiconnectivity dbc(graph::Graph(g), opt);
+  service::FacadeService<dynamic::DynamicBiconnectivity> svc(dbc);
+  service::ApplyRequest apply;
+  apply.batch.insertions = {{0, 143}, {5, 77}};  // patch-inserted edges
+  (void)svc.apply(apply);
+
+  std::vector<Edge> present = g.edge_list();
+  present.insert(present.end(), apply.batch.insertions.begin(),
+                 apply.batch.insertions.end());
+  const std::vector<MixedQuery> others = random_mixed(144, 64, 11);
+  service::QueryRequest req;
+  for (std::size_t i = 0; i < others.size(); ++i) {
+    const Edge& e = present[(i * 7) % present.size()];
+    req.queries.push_back({MixedQuery::Kind::kEdgeBcc, e.u, e.v});
+    req.queries.push_back(others[i]);
+  }
+  req.queries.push_back({MixedQuery::Kind::kEdgeBcc, 0, 0});  // self-loop
+
+  const amem::Phase phase;
+  const service::QueryResponse resp = svc.query(req);
+  const std::uint64_t writes = phase.delta().writes;
+  ASSERT_EQ(resp.status, service::Status::kOk);
+  ASSERT_EQ(resp.answers.size(), req.queries.size());
+  const auto snap = dbc.snapshot();
+  const std::vector<std::uint8_t> want =
+      dynamic::BiconnBatchQueryEngine(snap).answer(req.queries);
+  std::size_t next_id = 0;
+  for (std::size_t i = 0; i < req.queries.size(); ++i) {
+    const MixedQuery& q = req.queries[i];
+    EXPECT_EQ(resp.answers[i], want[i]) << "query " << i;
+    if (q.kind != MixedQuery::Kind::kEdgeBcc) continue;
+    ASSERT_LT(next_id, resp.block_ids.size());
+    const std::uint64_t id = resp.block_ids[next_id++];
+    EXPECT_EQ(id, snap->edge_block_id(q.u, q.v)) << "query " << i;
+    EXPECT_EQ(resp.answers[i] != 0, id != 0) << "query " << i;
+    if (i % 2 == 0 && i + 1 < req.queries.size()) {
+      EXPECT_NE(id, 0u) << "present edge " << q.u << "-" << q.v;
+    }
+  }
+  EXPECT_EQ(next_id, resp.block_ids.size());
+  EXPECT_EQ(writes, req.queries.size() + resp.block_ids.size());
 }
 
 // ---- loopback end-to-end -------------------------------------------------
