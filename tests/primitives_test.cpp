@@ -1,12 +1,11 @@
-// Unit tests for BFS, union-find, tree arrays (Euler tour, leaffix,
-// rootfix), and LCA / level-ancestor indices.
+// Unit tests for BFS, union-find and tree arrays (Euler tour, leaffix,
+// rootfix). The LCA / level-ancestor index has its own blocked_lca_test.
 #include <gtest/gtest.h>
 
 #include "amem/counters.hpp"
 #include "graph/generators.hpp"
 #include "primitives/bfs.hpp"
 #include "primitives/euler_tour.hpp"
-#include "primitives/lca.hpp"
 #include "primitives/union_find.hpp"
 #include "test_util.hpp"
 
@@ -152,48 +151,6 @@ TEST(Rootfix, ComputesDepths) {
   for (vertex_id v = 0; v < 15; ++v) {
     EXPECT_EQ(depth[v], int(t.depth[v]));
   }
-}
-
-TEST(Lca, MatchesBruteForceOnRandomTree) {
-  const Graph g = graph::gen::random_tree(60, 21);
-  const auto f = primitives::bfs_forest(g);
-  const auto t = primitives::build_tree_arrays(f.parent.raw());
-  const primitives::LcaIndex idx(t);
-  const auto brute = [&](vertex_id u, vertex_id v) {
-    while (u != v) {
-      if (t.depth[u] < t.depth[v]) std::swap(u, v);
-      u = t.parent[u];
-    }
-    return u;
-  };
-  for (vertex_id u = 0; u < 60; u += 3) {
-    for (vertex_id v = 0; v < 60; v += 7) {
-      EXPECT_EQ(idx.lca(u, v), brute(u, v)) << u << "," << v;
-    }
-  }
-}
-
-TEST(Lca, LevelAncestorWalksUpExactly) {
-  const Graph g = graph::gen::path(33);
-  const auto f = primitives::bfs_forest(g, 0);
-  const auto t = primitives::build_tree_arrays(f.parent.raw());
-  const primitives::LcaIndex idx(t);
-  EXPECT_EQ(idx.ancestor_at_depth(32, 0), 0u);
-  EXPECT_EQ(idx.ancestor_at_depth(32, 31), 31u);
-  EXPECT_EQ(idx.ancestor_at_depth(20, 5), 5u);  // path: vertex == depth
-}
-
-TEST(Lca, WorksOnForests) {
-  const Graph g = graph::gen::disjoint_union(graph::gen::path(4),
-                                             graph::gen::path(4));
-  const auto f = primitives::bfs_forest(g);
-  const auto t = primitives::build_tree_arrays(f.parent.raw());
-  const primitives::LcaIndex idx(t);
-  // On a rooted path, lca(a, b) is the shallower endpoint.
-  EXPECT_EQ(idx.lca(1, 3), 1u);
-  EXPECT_EQ(idx.lca(0, 3), 0u);
-  EXPECT_EQ(idx.lca(5, 7), 5u);
-  EXPECT_EQ(idx.lca(4, 6), 4u);
 }
 
 }  // namespace
