@@ -3,10 +3,10 @@
 # suite, then exercise the query and dynamic benchmarks in smoke mode
 # (small graphs / trimmed repetitions) so a broken bench build or a
 # correctness regression in the hot paths fails CI, not just the unit
-# tests. The dynamic bench smokes emit machine-readable BENCH_dynamic.json
-# / BENCH_dynamic_biconn.json (benchmark name, n, batch size, ns/op,
-# speedup-vs-rebuild, verified) at the repo root, which CI uploads as
-# per-commit perf-trajectory artifacts.
+# tests. The query and dynamic bench smokes emit machine-readable
+# BENCH_queries.json / BENCH_dynamic.json / BENCH_dynamic_biconn.json
+# (benchmark name, n, batch size, ns/op, speedup-vs-rebuild, verified) at
+# the repo root, which CI uploads as per-commit perf-trajectory artifacts.
 #
 # Usage: scripts/check.sh [build-dir]   (default: build)
 # Env:   CXX/CC respected by cmake as usual; WECC_THREADS caps the pool;
@@ -66,8 +66,15 @@ fi
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
 echo "== bench smoke: queries =="
+# Includes the biconnectivity oracle row so BENCH_queries.json (and the
+# bench_compare.py gate) track the decomposition kernel's ns per query.
 "$BUILD_DIR/bench/bench_queries" \
-  --benchmark_min_time=0.05 --benchmark_filter='BM_Query_(CcLabelArray|CcOracle/16)$'
+  --benchmark_min_time=0.05 \
+  --benchmark_filter='BM_Query_(CcLabelArray|CcOracle/16|BiconnOracle/16)$' \
+  --benchmark_out="$BUILD_DIR/bench_queries_raw.json" \
+  --benchmark_out_format=json
+python3 scripts/bench_to_json.py "$BUILD_DIR/bench_queries_raw.json" \
+  BENCH_queries.json
 
 echo "== bench smoke: dynamic connectivity (larger rows run in full mode) =="
 "$BUILD_DIR/bench/bench_dynamic" \
