@@ -74,8 +74,6 @@ class FlatMap {
     return v;
   }
 
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
-
   /// Size the slot array for `n` entries up front (no rehash below that).
   void reserve(std::size_t n) {
     if (2 * n > slots_.size()) rehash(2 * n);
