@@ -1,10 +1,9 @@
 // Experiment D1: batch-dynamic updates vs full oracle rebuild.
 //
-// The acceptance claim: a batch of B <= 1024 insertions on a million-vertex
-// graph is amortized sub-linear in n (fast path O(B k) operations / O(B)
-// writes; compactions amortized over compact_threshold updates) and at
-// least 5x faster than rebuilding the static oracle from scratch. Each
-// dynamic row reports:
+// A batch of B <= 1024 insertions on a million-vertex graph runs on the
+// fast path (O(B k) operations / O(B) writes; compactions amortized over
+// compact_threshold updates) instead of rebuilding the static oracle from
+// scratch; the rows measure by how much. Each dynamic row reports:
 //   speedup_vs_rebuild — from-scratch ConnectivityOracle::build wall time
 //       divided by the *amortized* per-batch wall time measured across the
 //       whole loop (compactions included);

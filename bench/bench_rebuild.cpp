@@ -7,16 +7,17 @@
 // update reports surface:
 //   rebuild_ms          — mean wall time per applied batch;
 //   dirty_clusters      — mean dirty-cluster count per rebuild;
-//   shards / threads    — the RebuildPlanner partition actually used;
+//   shards / threads    — the partition the rebuild's per-cluster passes
+//       actually ran on;
 //   speedup_vs_1thread  — this row's amortized batch time divided into the
 //       threads=1 row's (same n, B; the 1-thread row registers first);
 //   verified            — the final snapshot's whole query surface sampled
 //       against a from-scratch static oracle; the row errors on mismatch.
 //
 // The third Args slot is the facade's rebuild_threads knob: 1 pins the
-// serial baseline, 0 resolves via WECC_REBUILD_THREADS / the pool size
-// (hardware concurrency on the CI runners), so one binary run emits both
-// sides of the cliff. Published labels are identical either way — the
+// serial baseline, 0 resolves to the pool size (hardware concurrency on
+// the CI runners unless WECC_THREADS sets it), so one binary run emits
+// both sides of the cliff. Published labels are identical either way — the
 // sharded passes are deterministic — which `verified` re-checks per row.
 //
 // Smoke mode (scripts/check.sh): --benchmark_filter='/10000/' keeps only

@@ -22,7 +22,8 @@
 #        WECC_BENCH_SMOKE_FILTER overrides the dynamic-bench row filter;
 #        WECC_REBUILD_SMOKE_FILTER overrides the bench_rebuild row filter
 #        (default: the small /10000/ rows — the CI rebuild leg runs the
-#        full n=100k rows and WECC_REBUILD_THREADS picks its worker count).
+#        full n=100k rows; its auto rows take the pool size, which
+#        WECC_THREADS sets).
 #        Under WECC_SANITIZE=thread it defaults to the narrowed /100000/64
 #        rows, mirroring what the asan CI job sets explicitly — sanitized
 #        full-rebuild baselines are ~10x slower than plain builds. ccache

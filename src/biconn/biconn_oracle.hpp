@@ -55,18 +55,13 @@ struct BiconnOracleOptions {
   std::size_t k = 8;  // callers pass floor(sqrt(omega)), min 2
   std::uint64_t seed = 1;
   std::size_t max_fixpoint_rounds = 32;
-  /// §5.4: run the per-cluster construction passes (boundary-cache fill,
-  /// cluster labeling, fixpoint sweeps, bit finalization) in parallel.
-  /// Fixpoint rounds become Jacobi-style (views read the round-start DSU;
-  /// merges apply after the round), which reaches the same least fixpoint —
-  /// query answers are identical to sequential mode (tested).
-  bool parallel = false;
-  /// Worker count for those passes: 0 = auto (the pool size when
-  /// `parallel`, else 1); any value >= 2 turns the parallel discipline on
-  /// regardless of `parallel`. Published output is identical for every
-  /// thread count (per-cluster results land in disjoint slots; cross-
-  /// cluster merges apply serially in cluster order) — the determinism
-  /// contract the dynamic facades' rebuild_threads knob rides on.
+  /// §5.4: worker count for the per-cluster construction passes
+  /// (boundary-cache fill, cluster labeling, fixpoint sweeps, bit
+  /// finalization); 0 and 1 both mean serial. Published output is
+  /// identical for every thread count (per-cluster results land in
+  /// disjoint slots; cross-cluster merges apply serially in cluster order;
+  /// fixpoint rounds are Jacobi-style) — the determinism contract the
+  /// dynamic facades' rebuild_threads knob rides on.
   std::size_t threads = 0;
 };
 
@@ -74,7 +69,6 @@ struct BiconnOracleOptions {
 /// dynamic facades' update reports and the rebuild bench rows.
 struct BiconnRebuildStats {
   std::size_t dirty_clusters = 0;  // clusters whose state was re-derived
-  std::size_t total_clusters = 0;
   std::size_t threads = 0;  // resolved worker count
   std::size_t shards = 0;   // shard partition of the per-cluster passes
 };

@@ -19,15 +19,6 @@ BiconnectivityOracle<G> BiconnectivityOracle<G>::build(
   return from_decomposition(Decomp::build(g, dopt), opt);
 }
 
-namespace detail {
-/// Resolve BiconnOracleOptions' worker count: an explicit `threads` wins,
-/// otherwise `parallel` selects between the pool size and serial.
-inline std::size_t build_threads(const BiconnOracleOptions& opt) {
-  if (opt.threads >= 1) return opt.threads;
-  return opt.parallel ? wecc::parallel::num_threads() : 1;
-}
-}  // namespace detail
-
 template <graph::GraphView G>
 BiconnectivityOracle<G> BiconnectivityOracle<G>::from_decomposition(
     decomp::ImplicitDecomposition<G> d, const BiconnOracleOptions& opt) {
@@ -71,7 +62,7 @@ template <graph::GraphView G>
 void BiconnectivityOracle<G>::run_construction(const BiconnOracleOptions& opt,
                                                const ReuseContext* rc,
                                                BiconnRebuildStats* stats) {
-  const std::size_t threads = detail::build_threads(opt);
+  const std::size_t threads = std::max<std::size_t>(opt.threads, 1);
   // Materialize the per-cluster scratch up front — the embarrassingly
   // parallel part — then run the pipeline against it. The cache pointer is
   // cleared before returning (and by stack unwinding the cache itself dies
@@ -106,7 +97,6 @@ void BiconnectivityOracle<G>::run_construction(const BiconnOracleOptions& opt,
   }
   cache_ = nullptr;
   if (stats != nullptr) {
-    stats->total_clusters = nc_;
     stats->dirty_clusters = nc_;
     if (rc != nullptr) {
       stats->dirty_clusters = std::size_t(

@@ -68,6 +68,24 @@ struct MixedQuery {
   graph::vertex_id v = 0;
 };
 
+/// The boolean answer to one mixed query, against any surface with the
+/// five query methods plus has_edge(u, v) — a BiconnSnapshot, a
+/// persist::QueryView, or a brute-force reference. kEdgeBcc answers edge
+/// presence: every present non-self-loop edge belongs to a block.
+template <typename Surface>
+[[nodiscard]] bool answer(const Surface& s, const MixedQuery& q) {
+  switch (q.kind) {
+    case MixedQuery::Kind::kConnected: return s.connected(q.u, q.v);
+    case MixedQuery::Kind::kBiconnected: return s.biconnected(q.u, q.v);
+    case MixedQuery::Kind::kTwoEdgeConnected:
+      return s.two_edge_connected(q.u, q.v);
+    case MixedQuery::Kind::kArticulation: return s.is_articulation(q.u);
+    case MixedQuery::Kind::kBridge: return s.is_bridge(q.u, q.v);
+    case MixedQuery::Kind::kEdgeBcc: return s.has_edge(q.u, q.v);
+  }
+  return false;
+}
+
 class BatchQueryEngine {
  public:
   /// Pins `snap` for the engine's lifetime: answers stay consistent with
@@ -118,8 +136,9 @@ class BiconnBatchQueryEngine {
   [[nodiscard]] std::vector<std::uint8_t> answer(
       std::span<const MixedQuery> queries, std::size_t grain = 16) const {
     return detail::parallel_map<std::uint8_t>(
-        queries.size(), grain,
-        [&](std::size_t i) { return answer_one(queries[i]) ? 1 : 0; });
+        queries.size(), grain, [&](std::size_t i) {
+          return dynamic::answer(*snap_, queries[i]) ? 1 : 0;
+        });
   }
 
   /// component_of(v) per vertex (patched labels).
@@ -162,7 +181,7 @@ class BiconnBatchQueryEngine {
         queries.size(), grain, [&](std::size_t i) -> std::uint64_t {
           const MixedQuery& q = queries[i];
           if (is_id(i)) return snap_->edge_block_id(q.u, q.v);
-          return answer_one(q) ? 1 : 0;
+          return dynamic::answer(*snap_, q) ? 1 : 0;
         });
     AnswersWithIds out;
     out.answers.resize(raw.size());
@@ -175,24 +194,6 @@ class BiconnBatchQueryEngine {
   }
 
  private:
-  [[nodiscard]] bool answer_one(const MixedQuery& q) const {
-    switch (q.kind) {
-      case MixedQuery::Kind::kConnected:
-        return snap_->connected(q.u, q.v);
-      case MixedQuery::Kind::kBiconnected:
-        return snap_->biconnected(q.u, q.v);
-      case MixedQuery::Kind::kTwoEdgeConnected:
-        return snap_->two_edge_connected(q.u, q.v);
-      case MixedQuery::Kind::kArticulation:
-        return snap_->is_articulation(q.u);
-      case MixedQuery::Kind::kBridge:
-        return snap_->is_bridge(q.u, q.v);
-      case MixedQuery::Kind::kEdgeBcc:
-        return snap_->edge_block_id(q.u, q.v) != 0;
-    }
-    return false;
-  }
-
   std::shared_ptr<const BiconnSnapshot> snap_;
 };
 

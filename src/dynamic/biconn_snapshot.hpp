@@ -62,9 +62,6 @@ class BiconnPatch {
     amem::count_read();
     return bridges_.count(edge_key(u, v)) != 0;
   }
-  [[nodiscard]] std::size_t num_bridges() const noexcept {
-    return bridges_.size();
-  }
 
   /// Promote v to an articulation point (a patched bridge promotion; block
   /// merges supersede this set inside merged components, where articulation
@@ -528,6 +525,10 @@ class BiconnSnapshot {
   [[nodiscard]] std::uint64_t edge_block_id(graph::vertex_id u,
                                             graph::vertex_id v) const {
     return view().edge_block_id(u, v);
+  }
+  /// Is a non-self-loop edge (u, v) present at this epoch?
+  [[nodiscard]] bool has_edge(graph::vertex_id u, graph::vertex_id v) const {
+    return edge_block_id(u, v) != 0;
   }
 
   [[nodiscard]] const biconn::BiconnectivityOracle<OverlayGraph>& oracle()

@@ -75,9 +75,6 @@ class PatchUnion {
   }
 
   [[nodiscard]] bool empty() const noexcept { return parent_.empty(); }
-  [[nodiscard]] std::size_t num_unions() const noexcept {
-    return parent_.size();
-  }
 
  private:
   std::unordered_map<std::uint64_t, std::uint64_t> parent_;

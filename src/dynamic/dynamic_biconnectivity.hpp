@@ -44,13 +44,12 @@
 //    journal would exceed kReplayEventLimit skip triage (rebuild_reason =
 //    deletion-overflow).
 //  * Selective rebuild — any batch the above refuse. Only the connected
-//    components an edge changed in since the
-//    last rebuild (batch endpoints + every patch-touched component,
-//    tracked via DirtyTracker) are relabeled: BiconnectivityOracle::
-//    build_reusing re-installs the center set (O(n/k) writes, no
-//    traversal) and re-runs the clusters forest, BC labeling, fixpoint
-//    and bit-finalization passes over dirty clusters only, copying every
-//    clean cluster's state from the previous version.
+//    components an edge changed in since the last rebuild (batch
+//    endpoints + every patch-touched component) are relabeled:
+//    BiconnectivityOracle::build_reusing re-installs the center set
+//    (O(n/k) writes, no traversal) and re-runs the clusters forest, BC
+//    labeling, fixpoint and bit-finalization passes over dirty clusters
+//    only, copying every clean cluster's state from the previous version.
 //  * Compaction — when the overlay delta outgrows `compact_threshold`, the
 //    overlay is flattened and the oracle is rebuilt from scratch over a
 //    fresh normalized decomposition, restoring the static bounds.
@@ -80,9 +79,7 @@
 
 #include "dynamic/biconn_snapshot.hpp"
 #include "dynamic/block_merge.hpp"
-#include "dynamic/dirty_tracker.hpp"
 #include "dynamic/facade_core.hpp"
-#include "dynamic/rebuild_planner.hpp"
 #include "dynamic/update_batch.hpp"
 
 namespace wecc::dynamic {
@@ -563,47 +560,27 @@ class DynamicBiconnectivity
       BiconnUpdateReport& report) const {
     const auto& old = state_->oracle;
 
-    DirtyTracker dirty;
-    for (const graph::vertex_id l : pending_.patch.touched()) {
-      dirty.mark_component(l);
-    }
+    std::unordered_set<graph::vertex_id> dirty = pending_.patch.touched();
     // Belt and braces: the conn patch's labels are a subset of touched(),
     // but folding them in keeps the dirty set sound even if the two ever
     // drift.
     pending_.patch.conn.for_touched(
-        [&](graph::vertex_id l) { dirty.mark_component(l); });
-    const auto note = [&](graph::vertex_id x) {
-      dirty.mark_component(old.component_of(x));
-      // Cluster-granular breadcrumb: the cluster x lands in under the OLD
-      // decomposition. Diagnostics / sharding input only — the soundness
-      // boundary stays the component (see DirtyTracker::mark_cluster).
-      const decomp::RhoResult rx = old.decomposition().rho(x);
-      if (rx.virtual_center) {
-        dirty.note_virtual();
-      } else {
-        dirty.mark_cluster(
-            graph::vertex_id(old.decomposition().center_index(rx.center)));
-      }
-    };
+        [&](graph::vertex_id l) { dirty.insert(l); });
     for (const graph::Edge& e : batch.deletions) {
-      note(e.u);
-      note(e.v);
+      dirty.insert(old.component_of(e.u));
+      dirty.insert(old.component_of(e.v));
     }
     for (const graph::Edge& e : batch.insertions) {
-      note(e.u);
-      note(e.v);
+      dirty.insert(old.component_of(e.u));
+      dirty.insert(old.component_of(e.v));
     }
 
-    const RebuildPlan plan = RebuildPlanner::plan(
-        dirty, old.decomposition().center_list().size(),
-        opt_.rebuild_threads);
     biconn::BiconnOracleOptions ropt = opt_.oracle;
-    ropt.threads = plan.threads;
-
+    ropt.threads = resolved_rebuild_threads();
     biconn::BiconnRebuildStats stats;
     auto oracle2 = biconn::BiconnectivityOracle<OverlayGraph>::build_reusing(
-        *frozen, ropt, old, dirty.components(), &stats);
-    report.dirty_components = dirty.num_components();
+        *frozen, ropt, old, dirty, &stats);
+    report.dirty_components = dirty.size();
     report.dirty_clusters = stats.dirty_clusters;
     report.rebuild_threads = stats.threads;
     report.rebuild_shards = stats.shards;
@@ -627,7 +604,7 @@ class DynamicBiconnectivity
         decomp::ImplicitDecomposition<OverlayGraph>::build_reusing(
             *frozen, dopt, seeded.export_centers());
     biconn::BiconnOracleOptions bopt = opt_.oracle;
-    bopt.threads = RebuildPlanner::resolve_threads(opt_.rebuild_threads);
+    bopt.threads = resolved_rebuild_threads();
     const std::size_t nc = normalized.center_list().size();
     auto oracle = biconn::BiconnectivityOracle<OverlayGraph>::
         from_decomposition(std::move(normalized), bopt);

@@ -34,9 +34,7 @@
 #include <utility>
 #include <vector>
 
-#include "dynamic/dirty_tracker.hpp"
 #include "dynamic/facade_core.hpp"
-#include "dynamic/rebuild_planner.hpp"
 #include "dynamic/snapshot_store.hpp"
 #include "dynamic/update_batch.hpp"
 
@@ -81,34 +79,41 @@ class DynamicConnectivity
   }
 
   /// Selective rebuild: reuse the center set, relabel only dirty
-  /// components. See the header comment for the soundness argument
-  /// (mirrored in DirtyTracker). Reads the old state_/pending_ and the
-  /// frozen staged overlay; mutates neither member.
+  /// components. Reads the old state_/pending_ and the frozen staged
+  /// overlay; mutates neither member.
   std::shared_ptr<const VersionedOracle> build_selective(
       std::shared_ptr<const OverlayGraph> frozen, const UpdateBatch& batch,
       UpdateReport& report) const {
     const auto& old = state_->oracle;
     const auto& old_decomp = old.decomposition();
 
-    // 1. Dirty analysis against the *old* graph/labels.
-    DirtyTracker dirty;
+    // 1. Dirty analysis against the *old* graph/labels: the old component
+    // labels (center-index valued, as stored in CcResult) whose component
+    // may have changed, and the clusters (center indices) the batch
+    // endpoints land in, which only the report reads.
+    //
+    // Why every other label stays valid: components can only change where
+    // edges changed. Every edge inserted since the last full labeling is
+    // either in the pending LabelPatch (both endpoint labels are
+    // patch-touched) or in the current batch (both endpoint labels are
+    // marked here); deleted edges only remove connections inside their
+    // endpoints' components. Cluster-membership shifts (rho re-routing
+    // near a changed edge) stay inside a component, so boundary edges
+    // never connect a dirty-label center to a clean-label one. Endpoints
+    // in virtual (centerless) components mark nothing: they self-heal
+    // because rho() recomputes the component minimum on the current graph.
+    std::unordered_set<graph::vertex_id> dirty_labels, dirty_clusters;
     pending_.for_touched([&](graph::vertex_id l) {
       if (old_decomp.is_center(l)) {
-        dirty.mark_label(
-            old.cc().label.read(old_decomp.center_index(l)));
-      } else {
-        dirty.note_virtual();
+        dirty_labels.insert(old.cc().label.read(old_decomp.center_index(l)));
       }
     });
     const auto note_endpoint = [&](graph::vertex_id x) {
       const decomp::RhoResult r = old_decomp.rho(x);
-      if (r.virtual_center) {
-        dirty.note_virtual();
-        return;
-      }
+      if (r.virtual_center) return;
       const std::size_t ci = old_decomp.center_index(r.center);
-      dirty.mark_cluster(graph::vertex_id(ci));
-      dirty.mark_label(old.cc().label.read(ci));
+      dirty_clusters.insert(graph::vertex_id(ci));
+      dirty_labels.insert(old.cc().label.read(ci));
     };
     for (const graph::Edge& e : batch.deletions) {
       note_endpoint(e.u);
@@ -118,6 +123,9 @@ class DynamicConnectivity
       note_endpoint(e.u);
       note_endpoint(e.v);
     }
+    const auto label_dirty = [&](std::size_t ci) {
+      return dirty_labels.count(old.cc().label.read(ci)) != 0;
+    };
 
     // 2. Re-install the center set over the frozen staged overlay.
     auto decomp2 = decomp::ImplicitDecomposition<OverlayGraph>::build_reusing(
@@ -145,12 +153,11 @@ class DynamicConnectivity
     // live enumeration, so the replayed BFS visits clusters in exactly
     // the serial order — identical labels for any thread count). The BFS
     // itself stays serial: it only walks the prefilled lists.
-    const RebuildPlan plan =
-        RebuildPlanner::plan(dirty, nc, opt_.rebuild_threads);
+    const std::size_t threads = resolved_rebuild_threads();
     std::vector<std::vector<graph::vertex_id>> nbr_cache(nc);
     std::vector<std::uint8_t> nbr_cached(nc, 0);
-    parallel::sharded_for(nc, plan.threads, [&](std::size_t ci) {
-      if (!dirty.label_dirty(old.cc().label.read(ci))) return;
+    parallel::sharded_for(nc, threads, [&](std::size_t ci) {
+      if (!label_dirty(ci)) return;
       cg.for_boundary_edges(
           graph::vertex_id(ci),
           [&](graph::vertex_id cj, graph::vertex_id, graph::vertex_id) {
@@ -174,7 +181,7 @@ class DynamicConnectivity
     std::size_t relabeled = 0;
     for (std::size_t ci = 0; ci < nc; ++ci) {
       const auto root = graph::vertex_id(ci);
-      if (!dirty.label_dirty(old.cc().label.read(ci))) continue;
+      if (!label_dirty(ci)) continue;
       if (!visited.insert(root).second) continue;
       cc2.label.write(ci, root);
       ++relabeled;
@@ -200,11 +207,11 @@ class DynamicConnectivity
                                                   labels2.end());
     cc2.num_components = distinct.size();
 
-    report.dirty_clusters = dirty.num_clusters();
-    report.dirty_labels = dirty.num_labels();
+    report.dirty_clusters = dirty_clusters.size();
+    report.dirty_labels = dirty_labels.size();
     report.relabeled_centers = relabeled;
-    report.rebuild_threads = plan.threads;
-    report.rebuild_shards = plan.shards;
+    report.rebuild_threads = threads;
+    report.rebuild_shards = parallel::shard_count(nc, threads);
     return std::make_shared<VersionedOracle>(
         std::move(frozen),
         connectivity::ConnectivityOracle<OverlayGraph>::from_parts(

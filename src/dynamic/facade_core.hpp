@@ -69,6 +69,7 @@
 #include "dynamic/overlay_graph.hpp"
 #include "dynamic/snapshot_store.hpp"
 #include "dynamic/update_batch.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace wecc::dynamic {
 
@@ -86,9 +87,8 @@ struct FacadeOptions {
   std::uint64_t first_epoch = 0;
   /// Worker count for the rebuilds' sharded passes (connectivity: the
   /// selective relabel's boundary prefill; biconnectivity: every rebuild
-  /// path). 0 = auto: the WECC_REBUILD_THREADS environment override when
-  /// set, else the global pool size — see RebuildPlanner::resolve_threads.
-  /// Any value publishes identical state.
+  /// path). 0 = auto: the global pool size, parallel::num_threads().
+  /// Any value publishes identical state; the count only moves wall time.
   std::size_t rebuild_threads = 0;
 };
 
@@ -323,6 +323,12 @@ class FacadeCore {
     std::shared_ptr<const State> state;
     Pending pending;
   };
+
+  /// The worker count a rebuild runs its sharded passes on.
+  [[nodiscard]] std::size_t resolved_rebuild_threads() const {
+    return opt_.rebuild_threads >= 1 ? opt_.rebuild_threads
+                                     : parallel::num_threads();
+  }
 
   Engine& self() noexcept { return static_cast<Engine&>(*this); }
   const Engine& self() const noexcept {

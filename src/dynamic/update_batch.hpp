@@ -41,7 +41,7 @@ struct UpdateReportBase {
   /// Wall-clock duration of the operation, microseconds.
   std::uint64_t micros = 0;
   /// How the rebuild executed: the resolved worker count and the shard
-  /// partition RebuildPlanner chose. 0 on paths that run no sharded
+  /// partition of its per-cluster passes. 0 on paths that run no sharded
   /// rebuild work (fast inserts; the connectivity facade's compaction,
   /// whose from-scratch build has its own internal parallelism).
   std::size_t rebuild_threads = 0;

@@ -52,31 +52,6 @@ class HistoricView {
     return mapped_ ? mapped_->view() : derived_->view();
   }
 
-  /// Dispatch one MixedQuery-shaped probe against this epoch.
-  [[nodiscard]] bool answer(dynamic::MixedQuery::Kind kind,
-                            graph::vertex_id u, graph::vertex_id v) const {
-    const QueryView& qv = view();
-    switch (kind) {
-      case dynamic::MixedQuery::Kind::kConnected:
-        return qv.connected(u, v);
-      case dynamic::MixedQuery::Kind::kBiconnected:
-        return qv.biconnected(u, v);
-      case dynamic::MixedQuery::Kind::kTwoEdgeConnected:
-        return qv.two_edge_connected(u, v);
-      case dynamic::MixedQuery::Kind::kArticulation:
-        return qv.is_articulation(u);
-      case dynamic::MixedQuery::Kind::kBridge:
-        return qv.is_bridge(u, v);
-      case dynamic::MixedQuery::Kind::kEdgeBcc:
-        // The boolean is edge presence: every present non-self-loop edge
-        // has a block. Historic views serve no block ids — those are
-        // epoch-internal names of the live snapshot, meaningless across
-        // reconstructions.
-        return qv.has_edge(u, v);
-    }
-    return false;
-  }
-
  private:
   std::uint64_t epoch_;
   std::optional<SnapshotReader> mapped_;
@@ -106,11 +81,13 @@ class EpochHistory {
   [[nodiscard]] std::shared_ptr<const HistoricView> at(
       std::uint64_t epoch) const;
 
-  /// "Was this true at epoch e?" — one probe, any surface kind.
+  /// "Was this true at epoch e?" — one probe, any surface kind. kEdgeBcc
+  /// answers edge presence only: block ids are epoch-internal names of the
+  /// live snapshot, meaningless across reconstructions.
   [[nodiscard]] bool answer_at(dynamic::MixedQuery::Kind kind,
                                graph::vertex_id u, graph::vertex_id v,
                                std::uint64_t epoch) const {
-    return at(epoch)->answer(kind, u, v);
+    return dynamic::answer(at(epoch)->view(), {kind, u, v});
   }
 
   /// Epoch diff: the bridges present at `e2` that were not bridges at

@@ -11,6 +11,7 @@
 #include "biconn/biconn_oracle.hpp"
 #include "graph/generators.hpp"
 #include "parallel/rng.hpp"
+#include "parallel/thread_pool.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -242,7 +243,7 @@ TEST(BiconnOracle, ParallelConstructionMatchesSequential) {
   const Graph g = graph::gen::grid2d(9, 11, true);
   auto o1 = opts(5, 7);
   auto o2 = opts(5, 7);
-  o2.parallel = true;
+  o2.threads = parallel::num_threads();
   const auto a = Oracle::build(g, o1);
   const auto b = Oracle::build(g, o2);
   for (vertex_id v = 0; v < g.num_vertices(); ++v) {
@@ -266,7 +267,7 @@ TEST(BiconnOracle, ParallelConstructionMatchesSequential) {
 TEST(BiconnOracle, ParallelConstructionCorrectOnCactus) {
   const Graph g = graph::gen::cactus_chain(4, 7);
   auto o = opts(4, 3);
-  o.parallel = true;
+  o.threads = parallel::num_threads();
   check_oracle(g, Oracle::build(g, o), "parallel cactus");
 }
 

@@ -3,11 +3,10 @@
 //  * shard.hpp unit coverage — shard_count shape, sharded_for completeness,
 //    order-independence and exception propagation (the property the dynamic
 //    facades' strong exception guarantee rides on);
-//  * RebuildPlanner thread resolution — explicit option beats the
-//    WECC_REBUILD_THREADS environment override beats the pool size;
-//  * the determinism contract — rebuild_threads in {1, 2, pool} publish
-//    identical labels, bridges and articulation sets across a batch
-//    sequence where every apply pays a selective rebuild, on both facades;
+//  * the determinism contract — rebuild_threads in {0 (auto), 1, 2, pool}
+//    publish identical labels, bridges and articulation sets across a
+//    batch sequence where every apply pays a selective rebuild, on both
+//    facades, and each report echoes the worker count it resolved;
 //  * a TSan race hunt — a writer whose sharded rebuild passes run on the
 //    pool while reader threads pin snapshots and re-query them. Assertions
 //    are within-snapshot only; ThreadSanitizer adds the real ones when the
@@ -27,7 +26,6 @@
 
 #include "dynamic/dynamic_biconnectivity.hpp"
 #include "dynamic/dynamic_connectivity.hpp"
-#include "dynamic/rebuild_planner.hpp"
 #include "graph/generators.hpp"
 #include "primitives/union_find.hpp"
 #include "parallel/rng.hpp"
@@ -113,40 +111,14 @@ TEST(Shard, ExceptionPropagatesToCaller) {
 }
 
 // ---------------------------------------------------------------------------
-// RebuildPlanner
-// ---------------------------------------------------------------------------
-
-TEST(RebuildPlanner, ExplicitOptionWins) {
-  ::setenv("WECC_REBUILD_THREADS", "3", 1);
-  EXPECT_EQ(dynamic::RebuildPlanner::resolve_threads(2), 2u);
-  EXPECT_EQ(dynamic::RebuildPlanner::resolve_threads(1), 1u);
-  ::unsetenv("WECC_REBUILD_THREADS");
-}
-
-TEST(RebuildPlanner, EnvOverrideThenPoolSize) {
-  ::setenv("WECC_REBUILD_THREADS", "3", 1);
-  EXPECT_EQ(dynamic::RebuildPlanner::resolve_threads(0), 3u);
-  ::setenv("WECC_REBUILD_THREADS", "garbage", 1);
-  EXPECT_EQ(dynamic::RebuildPlanner::resolve_threads(0),
-            parallel::num_threads());
-  ::unsetenv("WECC_REBUILD_THREADS");
-  EXPECT_EQ(dynamic::RebuildPlanner::resolve_threads(0),
-            parallel::num_threads());
-}
-
-TEST(RebuildPlanner, PlanEchoesTrackerAndShards) {
-  dynamic::DirtyTracker dirty;
-  dirty.mark_cluster(4);
-  dirty.mark_cluster(9);
-  const dynamic::RebuildPlan p = dynamic::RebuildPlanner::plan(dirty, 40, 2);
-  EXPECT_EQ(p.threads, 2u);
-  EXPECT_EQ(p.shards, parallel::shard_count(40, 2));
-  EXPECT_EQ(p.dirty_clusters, 2u);
-}
-
-// ---------------------------------------------------------------------------
 // Determinism: identical published state for any rebuild_threads value.
 // ---------------------------------------------------------------------------
+
+/// The worker count a facade reports for a rebuild_threads setting:
+/// 0 resolves to the pool size.
+std::size_t resolved(std::size_t rebuild_threads) {
+  return rebuild_threads >= 1 ? rebuild_threads : parallel::num_threads();
+}
 
 /// Mixed half-delete / half-insert batches generated independently of any
 /// facade (deletions always come from earlier insertions), so the same
@@ -217,7 +189,7 @@ TEST(ParallelRebuildDeterminism, BiconnFacadeAgreesAcrossThreadCounts) {
 
   // One facade per thread count; all must publish the same full query
   // surface after every epoch, and that surface must match the reference.
-  const std::vector<std::size_t> thread_options = {1, 2,
+  const std::vector<std::size_t> thread_options = {0, 1, 2,
                                                    parallel::num_threads()};
   std::vector<std::unique_ptr<dynamic::DynamicBiconnectivity>> facades;
   for (const std::size_t t : thread_options) {
@@ -227,25 +199,25 @@ TEST(ParallelRebuildDeterminism, BiconnFacadeAgreesAcrossThreadCounts) {
     facades.push_back(std::make_unique<dynamic::DynamicBiconnectivity>(
         graph::Graph(base), opt));
   }
-  const std::size_t trio = thread_options.size();
+  const std::size_t nfacades = thread_options.size();
   testutil::EdgeSetModel model(n, base.edge_list());
 
   std::size_t selective_seen = 0;
   for (const auto& batch : batches) {
     std::vector<dynamic::BiconnUpdateReport::Path> paths;
-    for (std::size_t f = 0; f < trio; ++f) {
+    for (std::size_t f = 0; f < nfacades; ++f) {
       const auto report = facades[f]->apply(batch);
       paths.push_back(report.path);
       if (report.path ==
           dynamic::BiconnUpdateReport::Path::kSelectiveRebuild) {
         ++selective_seen;
-        EXPECT_EQ(report.rebuild_threads, thread_options[f]);
+        EXPECT_EQ(report.rebuild_threads, resolved(thread_options[f]));
       }
     }
     for (const auto& e : batch.deletions) model.remove(e);
     for (const auto& e : batch.insertions) model.add(e);
     // The chosen update path is thread-count independent.
-    for (std::size_t f = 1; f < trio; ++f) {
+    for (std::size_t f = 1; f < nfacades; ++f) {
       ASSERT_EQ(paths[f], paths[0]) << "facade " << f;
     }
     // Every facade's full surface matches the reference — every vertex,
@@ -259,7 +231,7 @@ TEST(ParallelRebuildDeterminism, BiconnFacadeAgreesAcrossThreadCounts) {
     for (vertex_id v = 0; v < n; ++v) {
       pairs.push_back({v, vertex_id((std::uint64_t(v) * 2654435761u) % n)});
     }
-    for (std::size_t f = 0; f < trio; ++f) {
+    for (std::size_t f = 0; f < nfacades; ++f) {
       const auto sf = facades[f]->snapshot();
       const std::string where = "facade " + std::to_string(f);
       testutil::expect_full_surface_eq(*sf, truth, pairs, where.c_str());
@@ -276,7 +248,7 @@ TEST(ParallelRebuildDeterminism, BiconnFacadeAgreesAcrossThreadCounts) {
   }
   // Every batch carries a vertex cut, so each facade took the selective
   // path at least once.
-  EXPECT_GE(selective_seen, trio);
+  EXPECT_GE(selective_seen, nfacades);
 }
 
 TEST(ParallelRebuildDeterminism, ConnFacadeAgreesAcrossThreadCounts) {
@@ -284,7 +256,7 @@ TEST(ParallelRebuildDeterminism, ConnFacadeAgreesAcrossThreadCounts) {
   const std::size_t n = base.num_vertices();
   const auto batches = make_batches(n, 6, 64);
 
-  const std::vector<std::size_t> thread_options = {1, 2,
+  const std::vector<std::size_t> thread_options = {0, 1, 2,
                                                    parallel::num_threads()};
   std::vector<std::unique_ptr<dynamic::DynamicConnectivity>> facades;
   for (const std::size_t t : thread_options) {
@@ -301,7 +273,7 @@ TEST(ParallelRebuildDeterminism, ConnFacadeAgreesAcrossThreadCounts) {
       const auto report = facades[f]->apply(batch);
       if (report.path == dynamic::UpdateReport::Path::kSelectiveRebuild) {
         ++selective_seen;
-        EXPECT_EQ(report.rebuild_threads, thread_options[f]);
+        EXPECT_EQ(report.rebuild_threads, resolved(thread_options[f]));
         EXPECT_GE(report.rebuild_shards, 1u);
       }
     }
@@ -472,10 +444,10 @@ TEST(FacadeGoldenTrace, PathsWritesAndSurfacesPinned) {
       {kFastInsert, kNone, 550, 59670, 0x3c42ebcaeda3ace8ULL},
       {kFastMixed, kNone, 4706, 239569, 0xa9ae82500080dbaeULL},
       {kFastInsert, kNone, 463, 48209, 0x77dfa518b738640eULL},
-      {kSelectiveRebuild, kTriageFailed, 20827, 122451, 0x3268c2f72466b076ULL},
-      {kSelectiveRebuild, kTriageFailed, 20707, 116932, 0xd6cdc9ce51d7fdd5ULL},
-      {kSelectiveRebuild, kTriageFailed, 20683, 116638, 0xf3c83c2c82904290ULL},
-      {kSelectiveRebuild, kTriageFailed, 20684, 116220, 0x941d750113d761ceULL},
+      {kSelectiveRebuild, kTriageFailed, 20827, 122411, 0x3268c2f72466b076ULL},
+      {kSelectiveRebuild, kTriageFailed, 20707, 116877, 0xd6cdc9ce51d7fdd5ULL},
+      {kSelectiveRebuild, kTriageFailed, 20683, 116558, 0xf3c83c2c82904290ULL},
+      {kSelectiveRebuild, kTriageFailed, 20684, 116118, 0x941d750113d761ceULL},
       {kCompaction, kForced, 22558, 0, 0x7ffbc9cc15c8d36eULL},
   };
 

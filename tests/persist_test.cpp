@@ -500,7 +500,7 @@ TEST(EpochHistory, BatchedTimeTravelQueries) {
     }
     queries.push_back(q);
     const BruteSurface brute(HistoryFixture::kN, edges);
-    want.push_back(brute.answer({q.kind, q.u, q.v}) ? 1 : 0);
+    want.push_back(dynamic::answer(brute, {q.kind, q.u, q.v}) ? 1 : 0);
   }
   EXPECT_EQ(dynamic::answer_time_travel(history, queries), want);
 }

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "amem/counters.hpp"
+#include "dynamic/batch_query.hpp"
 #include "dynamic/dynamic_biconnectivity.hpp"
 #include "dynamic/dynamic_connectivity.hpp"
 #include "graph/generators.hpp"
@@ -413,7 +414,7 @@ TEST(ServiceLoopback, EndToEndCrossChecked) {
     ASSERT_EQ(resp.epoch, applied.report.epoch);
     ASSERT_EQ(resp.answers.size(), req.queries.size());
     for (std::size_t i = 0; i < req.queries.size(); ++i) {
-      ASSERT_EQ(resp.answers[i] != 0, truth.answer(req.queries[i]))
+      ASSERT_EQ(resp.answers[i] != 0, dynamic::answer(truth, req.queries[i]))
           << "epoch " << resp.epoch << " query " << i;
     }
     // Block ids ride the response, one per kEdgeBcc query in order:
@@ -423,7 +424,7 @@ TEST(ServiceLoopback, EndToEndCrossChecked) {
       const MixedQuery& q = req.queries[i];
       if (q.kind != MixedQuery::Kind::kEdgeBcc) continue;
       ASSERT_LT(bix, resp.block_ids.size());
-      ASSERT_EQ(resp.block_ids[bix] != 0, truth.answer(q))
+      ASSERT_EQ(resp.block_ids[bix] != 0, dynamic::answer(truth, q))
           << "epoch " << resp.epoch << " block id for query " << i;
       ++bix;
     }

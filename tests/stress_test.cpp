@@ -13,6 +13,7 @@
 #include "dynamic/dynamic_connectivity.hpp"
 #include "graph/generators.hpp"
 #include "parallel/rng.hpp"
+#include "parallel/thread_pool.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -45,7 +46,7 @@ TEST(Stress, BiconnectivityOnLargeCactus) {
   const Graph g = graph::gen::cactus_chain(500, 9);
   biconn::BiconnOracleOptions opt;
   opt.k = 9;
-  opt.parallel = true;
+  opt.threads = parallel::num_threads();
   const auto o = biconn::BiconnectivityOracle<Graph>::build(g, opt);
   const auto bc = biconn::BcLabeling::build(g);
   for (vertex_id i = 0; i < 1500; ++i) {

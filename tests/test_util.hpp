@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "dynamic/batch_query.hpp"
 #include "dynamic/durability.hpp"
 #include "graph/graph.hpp"
 #include "primitives/small_biconn.hpp"
@@ -54,14 +53,12 @@ inline std::vector<graph::vertex_id> brute_cc(const graph::Graph& g) {
 /// Do two labelings induce the same partition of [0, n)?
 template <typename A, typename B>
 bool same_partition(const A& a, const B& b, std::size_t n) {
-  std::map<std::pair<std::uint64_t, std::uint64_t>, int> seen;
   std::map<std::uint64_t, std::uint64_t> fa, fb;
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t la = std::uint64_t(a[i]), lb = std::uint64_t(b[i]);
     const auto ia = fa.emplace(la, fa.size()).first->second;
     const auto ib = fb.emplace(lb, fb.size()).first->second;
     if (ia != ib) return false;
-    (void)seen;
   }
   return true;
 }
@@ -194,21 +191,6 @@ class BruteSurface {
   [[nodiscard]] std::uint32_t edge_block(graph::vertex_id u,
                                          graph::vertex_id v) const {
     return bc_.edge_bcc[copies(u, v).at(0)];
-  }
-
-  /// The boolean answer to one mixed query (kEdgeBcc: is the edge present,
-  /// i.e. does it have a block).
-  [[nodiscard]] bool answer(const dynamic::MixedQuery& q) const {
-    using Kind = dynamic::MixedQuery::Kind;
-    switch (q.kind) {
-      case Kind::kConnected: return connected(q.u, q.v);
-      case Kind::kBiconnected: return biconnected(q.u, q.v);
-      case Kind::kTwoEdgeConnected: return two_edge_connected(q.u, q.v);
-      case Kind::kArticulation: return is_articulation(q.u);
-      case Kind::kBridge: return is_bridge(q.u, q.v);
-      case Kind::kEdgeBcc: return has_edge(q.u, q.v);
-    }
-    return false;
   }
 
   [[nodiscard]] const primitives::BiconnResult& result() const noexcept {

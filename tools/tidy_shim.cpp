@@ -29,13 +29,11 @@
 #include "dynamic/batch_query.hpp"
 #include "dynamic/biconn_snapshot.hpp"
 #include "dynamic/block_merge.hpp"
-#include "dynamic/dirty_tracker.hpp"
 #include "dynamic/durability.hpp"
 #include "dynamic/dynamic_biconnectivity.hpp"
 #include "dynamic/dynamic_connectivity.hpp"
 #include "dynamic/facade_core.hpp"
 #include "dynamic/overlay_graph.hpp"
-#include "dynamic/rebuild_planner.hpp"
 #include "dynamic/snapshot_store.hpp"
 #include "dynamic/update_batch.hpp"
 #include "graph/generators.hpp"

@@ -26,9 +26,10 @@
 #include <unordered_map>
 #include <vector>
 
+#include "dynamic/batch_query.hpp"
 #include "graph/generators.hpp"
 #include "parallel/rng.hpp"
-#include "persist/history.hpp"
+#include "persist/derived.hpp"
 #include "service/client.hpp"
 
 namespace {
@@ -313,10 +314,8 @@ void verify_round(service::Client& client, const Mirror& mirror,
                   RunResult& result) {
   // The reference: the mirror's full surface derived from scratch by the
   // same persist::DerivedState engine perfbench checks against.
-  const persist::HistoricView truth(
-      mirror.epoch(), persist::DerivedState::compute(mirror.num_vertices(),
-                                                     mirror.edges(),
-                                                     /*with_biconn=*/true));
+  const persist::DerivedState truth = persist::DerivedState::compute(
+      mirror.num_vertices(), mirror.edges(), /*with_biconn=*/true);
   service::QueryRequest request;
   request.pin_epoch = mirror.epoch();
   request.queries.reserve(cli.verify_queries);
@@ -346,7 +345,7 @@ void verify_round(service::Client& client, const Mirror& mirror,
   for (std::size_t i = 0; i < request.queries.size(); ++i) {
     ++result.verified_answers;
     const auto& q = request.queries[i];
-    const bool want = truth.answer(q.kind, q.u, q.v);
+    const bool want = dynamic::answer(truth.view(), q);
     if (q.kind == dynamic::MixedQuery::Kind::kEdgeBcc) {
       // block_ids carries one id per kEdgeBcc query in order; a nonzero
       // id and a true boolean must come together.

@@ -36,7 +36,7 @@ struct CliOptions {
   std::uint64_t gseed = 1; // generator seed (loadgen mirrors with the same)
   std::size_t k = 8;       // oracle parameter
   std::size_t snapshots = 8;
-  std::size_t rebuild_threads = 0;  // 0 = auto (env, then pool size)
+  std::size_t rebuild_threads = 0;  // 0 = auto (the pool size)
   std::string bind = "127.0.0.1";
   std::uint16_t port = 0;  // 0 = ephemeral
   std::string port_file;   // written once bound (how check.sh finds us)
