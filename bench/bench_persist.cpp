@@ -243,6 +243,7 @@ void BM_TimeTravel(benchmark::State& state) {
     const std::uint64_t e = kEpochs / 2 + 1;  // rebuilt, not mmap-served
     primitives::LocalGraph g(n);
     for (const graph::Edge& ed : edges_at[e]) g.add_edge(ed.u, ed.v);
+    g.build();
     const primitives::BiconnResult want = primitives::biconnectivity(g);
     for (vertex_id u = 0; u < 64; ++u) {
       const vertex_id v = vertex_id((u * 2654435761u) % n);

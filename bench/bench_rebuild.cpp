@@ -11,6 +11,11 @@
 //       actually ran on;
 //   speedup_vs_1thread  — this row's amortized batch time divided into the
 //       threads=1 row's (same n, B; the 1-thread row registers first);
+//   cache_fill_ms / forest_ms / labeling_ms / fixpoints_ms / bits_ms —
+//       mean wall time per rebuild of each construction phase (the
+//       "biconn_build/*" amem phase buckets);
+//   allocs_per_rebuild  — mean heap allocations per selectively rebuilt
+//       batch (a counting global operator new, as in bench_dynamic.cpp);
 //   verified            — the final snapshot's whole query surface sampled
 //       against a from-scratch static oracle; the row errors on mismatch.
 //
@@ -24,15 +29,43 @@
 // the small rows; the CI rebuild leg runs the full n=100000 rows.
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdlib>
 #include <map>
+#include <new>
+#include <string>
 #include <utility>
 
 #include "biconn/biconn_oracle.hpp"
 #include "dynamic/dynamic_biconnectivity.hpp"
 #include "graph/generators.hpp"
 #include "parallel/rng.hpp"
+
+// Process-wide heap-allocation counter (replaceable global operator new;
+// operator new[] funnels through it).
+namespace benchalloc {
+inline std::atomic<std::uint64_t> count{0};
+}  // namespace benchalloc
+
+// The replaced operator new allocates with std::malloc, so releasing with
+// std::free is the matched pair; gcc's -Wmismatched-new-delete heuristic
+// cannot see through the replacement and flags it under Release -Werror.
+#if defined(__GNUC__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void* operator new(std::size_t size) {
+  benchalloc::count.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#if defined(__GNUC__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace {
 
@@ -124,9 +157,11 @@ void BM_SelectiveRebuild(benchmark::State& state) {
 
   std::uint64_t rs = 777;
   graph::EdgeList pool;
-  std::size_t batches = 0;
+  std::size_t batches = 0, rebuilds = 0;
   double total_s = 0;
   double dirty_sum = 0, shards_last = 0, threads_last = 0;
+  std::uint64_t rebuild_allocs = 0;
+  amem::reset_phases();  // the phase buckets below hold this row's rebuilds
   for (auto _ : state) {
     state.PauseTiming();
     dynamic::UpdateBatch batch;
@@ -136,17 +171,32 @@ void BM_SelectiveRebuild(benchmark::State& state) {
       pool.pop_back();
     }
     state.ResumeTiming();
+    const auto a0 = benchalloc::count.load(std::memory_order_relaxed);
     const auto t0 = std::chrono::steady_clock::now();
     const auto report = dbc.apply(batch);
     total_s += seconds_since(t0);
+    const auto a1 = benchalloc::count.load(std::memory_order_relaxed);
     ++batches;
     state.PauseTiming();
+    if (report.path == dynamic::UpdateReportBase::Path::kSelectiveRebuild) {
+      rebuild_allocs += a1 - a0;
+      ++rebuilds;
+    }
     dirty_sum += double(report.dirty_clusters);
     shards_last = double(report.rebuild_shards);
     threads_last = double(report.rebuild_threads);
     for (const auto& e : batch.insertions) pool.push_back(e);
     state.ResumeTiming();
   }
+  // Read the phase buckets before the fresh oracle below adds its build.
+  const double per_rebuild = rebuilds > 0 ? 1.0 / double(rebuilds) : 0;
+  for (const char* phase :
+       {"cache_fill", "forest", "labeling", "fixpoints", "bits"}) {
+    state.counters[std::string(phase) + "_ms"] =
+        double(amem::phase_ns(std::string("biconn_build/") + phase)) * 1e-6 *
+        per_rebuild;
+  }
+  state.counters["allocs_per_rebuild"] = double(rebuild_allocs) * per_rebuild;
   verify_against_fresh(state, dbc);
 
   const double amortized = batches > 0 ? total_s / double(batches) : 0;

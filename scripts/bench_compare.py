@@ -12,7 +12,9 @@ when any shared row drifts worse than --threshold (default 25%):
   * ns_per_op            — higher is worse;
   * rebuild_ms           — higher is worse;
   * speedup_vs_rebuild   — lower is worse;
-  * speedup_vs_1thread   — lower is worse.
+  * speedup_vs_1thread   — lower is worse;
+  * absorb_rate          — lower is worse;
+  * allocs_per_rebuild   — higher is worse.
 
 Tolerances by design, so the gate never blocks structural change:
 
@@ -43,6 +45,9 @@ GATED_FIELDS = {
     # Fraction of batches the block-merge patch algebra absorbed without a
     # rebuild; a drop means churn fell back off the O(B)-write fast path.
     "absorb_rate": False,
+    # Heap allocations per selective rebuild (bench_rebuild); the local
+    # views reuse per-thread storage, so a rise means a pass lost it.
+    "allocs_per_rebuild": True,
 }
 
 
@@ -127,6 +132,7 @@ def self_test():
         "speedup_vs_rebuild": None,
         "speedup_vs_1thread": 2.0,
         "absorb_rate": 0.95,
+        "allocs_per_rebuild": 20000.0,
     }
     cases = 0
 
@@ -178,6 +184,13 @@ def self_test():
            want_fail=True)
     dipped = dict(base_row, absorb_rate=0.9)
     expect("absorb_rate small dip passes", [dipped], [base_row],
+           want_fail=False)
+    # Rebuilds that start allocating again fail; fewer allocations pass.
+    allocating = dict(base_row, allocs_per_rebuild=200000.0)
+    expect("allocs_per_rebuild tenfold", [allocating], [base_row],
+           want_fail=True)
+    leaner = dict(base_row, allocs_per_rebuild=2000.0)
+    expect("allocs_per_rebuild fell", [leaner], [base_row],
            want_fail=False)
 
     print(f"bench_compare.py --self-test: {cases} cases passed")

@@ -57,6 +57,14 @@ def distill(raw):
                 "shards": b.get("shards"),
                 "threads": b.get("threads"),
                 "speedup_vs_1thread": b.get("speedup_vs_1thread"),
+                # Where a rebuild's time goes (mean ms per rebuild of each
+                # construction phase) and how often it hits the heap.
+                "cache_fill_ms": b.get("cache_fill_ms"),
+                "forest_ms": b.get("forest_ms"),
+                "labeling_ms": b.get("labeling_ms"),
+                "fixpoints_ms": b.get("fixpoints_ms"),
+                "bits_ms": b.get("bits_ms"),
+                "allocs_per_rebuild": b.get("allocs_per_rebuild"),
                 "verified": b.get("verified"),
                 "error": b.get("error_message"),
             }

@@ -46,35 +46,46 @@ std::string to_string(const Stats& s, std::uint64_t omega) {
 }
 
 namespace {
+struct PhaseBucket {
+  Stats stats;
+  std::uint64_t ns = 0;
+};
 std::mutex g_phase_mu;
-std::map<std::string, Stats, std::less<>>& phase_map() {
-  static std::map<std::string, Stats, std::less<>> m;
+std::map<std::string, PhaseBucket, std::less<>>& phase_map() {
+  static std::map<std::string, PhaseBucket, std::less<>> m;
   return m;
 }
 }  // namespace
 
-void accumulate_phase(std::string_view name, const Stats& delta) {
+void accumulate_phase(std::string_view name, const Stats& delta,
+                      std::uint64_t ns) {
   const std::lock_guard<std::mutex> lock(g_phase_mu);
   auto& m = phase_map();
-  const auto it = m.find(name);
-  if (it == m.end()) {
-    m.emplace(std::string(name), delta);
-  } else {
-    it->second = it->second + delta;
-  }
+  auto it = m.find(name);
+  if (it == m.end()) it = m.emplace(std::string(name), PhaseBucket{}).first;
+  it->second.stats = it->second.stats + delta;
+  it->second.ns += ns;
 }
 
 std::vector<std::pair<std::string, Stats>> phase_totals() {
   const std::lock_guard<std::mutex> lock(g_phase_mu);
-  const auto& m = phase_map();
-  return {m.begin(), m.end()};
+  std::vector<std::pair<std::string, Stats>> out;
+  for (const auto& [name, b] : phase_map()) out.emplace_back(name, b.stats);
+  return out;
 }
 
 Stats phase_total(std::string_view name) {
   const std::lock_guard<std::mutex> lock(g_phase_mu);
   const auto& m = phase_map();
   const auto it = m.find(name);
-  return it == m.end() ? Stats{} : it->second;
+  return it == m.end() ? Stats{} : it->second.stats;
+}
+
+std::uint64_t phase_ns(std::string_view name) {
+  const std::lock_guard<std::mutex> lock(g_phase_mu);
+  const auto& m = phase_map();
+  const auto it = m.find(name);
+  return it == m.end() ? 0 : it->second.ns;
 }
 
 void reset_phases() {

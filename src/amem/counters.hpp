@@ -16,6 +16,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -99,9 +100,11 @@ std::string to_string(const Stats& s, std::uint64_t omega);
 // update phases: insert fast path / selective rebuild / compaction).
 // ---------------------------------------------------------------------------
 
-/// Fold a measured delta into the named bucket. Thread-safe; intended for
-/// one call per completed phase, not per memory access.
-void accumulate_phase(std::string_view name, const Stats& delta);
+/// Fold a measured delta, and the wall-clock nanoseconds it took, into the
+/// named bucket. Thread-safe; intended for one call per completed phase,
+/// not per memory access.
+void accumulate_phase(std::string_view name, const Stats& delta,
+                      std::uint64_t ns = 0);
 
 /// Totals per bucket, sorted by name.
 std::vector<std::pair<std::string, Stats>> phase_totals();
@@ -109,22 +112,31 @@ std::vector<std::pair<std::string, Stats>> phase_totals();
 /// Total for one bucket (zero Stats if never accumulated).
 Stats phase_total(std::string_view name);
 
+/// Wall-clock nanoseconds accumulated into one bucket (0 if none).
+std::uint64_t phase_ns(std::string_view name);
+
 /// Zero all buckets. Only call when no instrumented code is running.
 void reset_phases();
 
-/// RAII: accumulate this scope's read/write delta into a named bucket on
-/// destruction. The delta is process-wide (same caveat as Phase): scope
-/// concurrent instrumented work accordingly.
+/// RAII: accumulate this scope's read/write delta and its wall-clock time
+/// into a named bucket on destruction. The delta is process-wide (same
+/// caveat as Phase): scope concurrent instrumented work accordingly.
 class ScopedPhase {
  public:
   explicit ScopedPhase(std::string_view name) : name_(name) {}
   ScopedPhase(const ScopedPhase&) = delete;
   ScopedPhase& operator=(const ScopedPhase&) = delete;
-  ~ScopedPhase() { accumulate_phase(name_, phase_.delta()); }
+  ~ScopedPhase() {
+    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+        std::chrono::steady_clock::now() - start_);
+    accumulate_phase(name_, phase_.delta(), std::uint64_t(ns.count()));
+  }
 
  private:
   std::string name_;
   Phase phase_;
+  std::chrono::steady_clock::time_point start_ =
+      std::chrono::steady_clock::now();
 };
 
 // ---------------------------------------------------------------------------

@@ -35,10 +35,12 @@
 //   truth in biconn_oracle_test.
 #pragma once
 
+#include <array>
 #include <cassert>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
+#include <span>
+#include <stdexcept>
 #include <unordered_set>
 
 #include "biconn/bc_labeling.hpp"
@@ -54,7 +56,6 @@ namespace wecc::biconn {
 struct BiconnOracleOptions {
   std::size_t k = 8;  // callers pass floor(sqrt(omega)), min 2
   std::uint64_t seed = 1;
-  std::size_t max_fixpoint_rounds = 32;
   /// §5.4: worker count for the per-cluster construction passes
   /// (boundary-cache fill, cluster labeling, fixpoint sweeps, bit
   /// finalization); 0 and 1 both mean serial. Published output is
@@ -83,6 +84,54 @@ struct BccId {
   std::uint64_t value = 0;
   bool operator==(const BccId&) const = default;
 };
+
+namespace detail {
+
+/// One boundary-edge instance as ClustersGraph::for_boundary_edges emits
+/// it: neighbor cluster cj, endpoint u in this cluster, w in cj's.
+struct BoundaryInstance {
+  graph::vertex_id cj;
+  graph::vertex_id u;
+  graph::vertex_id w;
+};
+
+/// A view (LocalView / VirtualView) filled into a free per-thread slot and
+/// held for the handle's scope; the slot goes back, trimmed to
+/// primitives::kScratchRetainEntries, when the handle dies. Each thread has
+/// two slots per view kind, the most any caller holds at once
+/// (finalize_bits' block and 2ecc views; a query's leg and LCA views), so a
+/// warm view makes no heap allocation.
+template <typename View>
+class HeldView {
+ public:
+  template <typename Fill>
+  explicit HeldView(Fill&& fill) : use_(free_slot()) {
+    fill(use_.scratch().view);
+  }
+  [[nodiscard]] const View& operator*() const noexcept {
+    return use_.scratch().view;
+  }
+  [[nodiscard]] const View* operator->() const noexcept {
+    return &use_.scratch().view;
+  }
+
+ private:
+  struct Slot {
+    View view;
+    bool busy = false;
+    void trim() { view.trim(); }
+  };
+  static Slot& free_slot() {
+    thread_local std::array<Slot, 2> slots;
+    for (Slot& s : slots) {
+      if (!s.busy) return s;
+    }
+    throw std::logic_error("more than two local views held by one thread");
+  }
+  primitives::ScratchUse<Slot> use_;
+};
+
+}  // namespace detail
 
 template <graph::GraphView G>
 class BiconnectivityOracle {
@@ -182,9 +231,9 @@ class BiconnectivityOracle {
   template <typename F>
   void for_each_articulation(F&& fn) const {
     for (std::size_t ci = 0; ci < nc_; ++ci) {
-      const LocalView lv = local_view(ci, false, false);
-      for (std::uint32_t mi = 0; mi < lv.members.size(); ++mi) {
-        if (lv.bc.is_artic[mi]) fn(lv.members[mi]);
+      const auto lv = local_view(ci, false, false);
+      for (std::uint32_t mi = 0; mi < lv->members.size(); ++mi) {
+        if (lv->bc.is_artic[mi]) fn(lv->members[mi]);
       }
     }
     // Virtual components: their minimum vertex discovers each exactly once.
@@ -192,9 +241,9 @@ class BiconnectivityOracle {
     for (graph::vertex_id v = 0; v < n; ++v) {
       const auto r = decomp_.rho(v);
       if (!r.virtual_center || r.center != v) continue;
-      const VirtualView vv = virtual_view(v);
-      for (std::uint32_t mi = 0; mi < vv.members.size(); ++mi) {
-        if (vv.bc.is_artic[mi]) fn(vv.members[mi]);
+      const auto vv = virtual_view(v);
+      for (std::uint32_t mi = 0; mi < vv->members.size(); ++mi) {
+        if (vv->bc.is_artic[mi]) fn(vv->members[mi]);
       }
     }
   }
@@ -220,13 +269,7 @@ class BiconnectivityOracle {
   }
 
   // ---- build-scoped scratch cache ----
-  /// One boundary-edge instance as ClustersGraph::for_boundary_edges emits
-  /// it: neighbor cluster cj, endpoint u in this cluster, w in cj's.
-  struct BoundaryInstance {
-    vid cj;
-    vid u;
-    vid w;
-  };
+  using BoundaryInstance = detail::BoundaryInstance;
   /// Per-cluster scratch materialized once per construction and consumed
   /// by every pass that would otherwise re-enumerate the cluster (forest
   /// BFS, w'/W', cc_minus, and each local_view — up to ~6 enumerations per
@@ -264,8 +307,7 @@ class BiconnectivityOracle {
   // ---- construction stages (defined in biconn_oracle_impl.hpp) ----
   void build_clusters_forest(const ReuseContext* rc);
   void build_cluster_labeling(std::size_t threads, const ReuseContext* rc);
-  void run_fixpoints(std::size_t max_rounds, std::size_t threads,
-                     const ReuseContext* rc);
+  void run_fixpoints(std::size_t threads, const ReuseContext* rc);
   void finalize_bits(std::size_t threads, const ReuseContext* rc);
   void run_construction(const BiconnOracleOptions& opt,
                         const ReuseContext* rc, BiconnRebuildStats* stats);
@@ -279,13 +321,16 @@ class BiconnectivityOracle {
   }
 
   // ---- local views ----
-  /// A materialized local graph (Definition 4) in symmetric scratch. Its
-  /// construction's temporary tables are per-thread and reused
-  /// (detail::ViewScratch, released past primitives::kScratchRetainEntries);
-  /// SymScratch claims are unchanged.
+  /// A materialized local graph (Definition 4) in symmetric scratch, filled
+  /// in place into a per-thread slot (detail::HeldView) whose buffers are
+  /// reused across views. Its construction's temporary tables are
+  /// per-thread too (detail::ViewScratch); SymScratch claims are unchanged.
   struct LocalView {
-    primitives::LocalGraph lg{0};
-    std::vector<vid> members;  // global vertex ids; local node i = members[i]
+    primitives::LocalGraph lg;
+    /// Global vertex ids; local node i = members[i]. During a construction
+    /// it reads the build cache's entry, otherwise `cluster.members`.
+    std::span<const vid> members;
+    decomp::ClusterInfo cluster;  // members' storage outside a construction
     primitives::FlatMap<vid> member_idx;  // inverse of members
     std::uint32_t parent_node = kNone;   // local node of the parent outside
     std::uint32_t parent_edge = kNone;   // local edge of the parent tree edge
@@ -295,12 +340,31 @@ class BiconnectivityOracle {
     /// (kNoVertex, kNoVertex). Lets edge queries find *their* instance.
     std::vector<std::pair<vid, vid>> edge_origin;
     primitives::BiconnResult bc;
+
+    void trim() {
+      members = {};
+      lg.trim();
+      primitives::trim_scratch(cluster.members);
+      primitives::trim_scratch(cluster.parent);
+      member_idx.clear_and_trim();
+      primitives::trim_scratch(child_nodes);
+      primitives::trim_scratch(child_edges);
+      primitives::trim_scratch(edge_origin);
+      bc.trim();
+    }
   };
-  /// Build the local view of cluster `ci`; `use_tecc_equiv` selects which
-  /// DSU provides the category-2 edges; `extra_lprime` additionally joins
-  /// directions with equal cluster labels (used during fixpoint rounds).
-  [[nodiscard]] LocalView local_view(std::size_t ci, bool use_tecc_equiv,
-                                     bool extra_lprime) const;
+  /// The local view of cluster `ci`, held in a per-thread slot for the
+  /// handle's scope; `use_tecc_equiv` selects which DSU provides the
+  /// category-2 edges; `extra_lprime` additionally joins directions with
+  /// equal cluster labels (used during fixpoint rounds).
+  [[nodiscard]] detail::HeldView<LocalView> local_view(
+      std::size_t ci, bool use_tecc_equiv, bool extra_lprime) const {
+    return detail::HeldView<LocalView>([&](LocalView& lv) {
+      fill_local_view(ci, use_tecc_equiv, extra_lprime, lv);
+    });
+  }
+  void fill_local_view(std::size_t ci, bool use_tecc_equiv, bool extra_lprime,
+                       LocalView& lv) const;
 
   /// Direction of cluster `to` as seen from `from` (adjacent or not):
   /// index into children list, or kNone meaning the parent direction.
@@ -325,15 +389,28 @@ class BiconnectivityOracle {
   };
   [[nodiscard]] InternalBlocks internal_blocks(const LocalView& lv) const;
 
-  /// Virtual (< k, centerless) component handling: materialize it fully.
+  /// Virtual (< k, centerless) component handling: materialize it fully,
+  /// into a per-thread slot like LocalView.
   struct VirtualView {
-    primitives::LocalGraph lg{0};
+    primitives::LocalGraph lg;
     std::vector<vid> members;
     primitives::FlatMap<vid> member_idx;  // inverse of members
     primitives::BiconnResult bc;
     vid comp_min = 0;
+
+    void trim() {
+      lg.trim();
+      primitives::trim_scratch(members);
+      member_idx.clear_and_trim();
+      bc.trim();
+    }
   };
-  [[nodiscard]] VirtualView virtual_view(vid any_member) const;
+  [[nodiscard]] detail::HeldView<VirtualView> virtual_view(
+      vid any_member) const {
+    return detail::HeldView<VirtualView>(
+        [&](VirtualView& vv) { fill_virtual_view(any_member, vv); });
+  }
+  void fill_virtual_view(vid any_member, VirtualView& vv) const;
 
   // DSU find over clusters-tree edges (read-only at query time).
   [[nodiscard]] std::uint32_t dsu_find(const std::vector<std::uint32_t>& p,

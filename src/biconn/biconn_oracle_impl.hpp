@@ -6,6 +6,37 @@
 
 namespace wecc::biconn {
 
+/// Rounds after which a fixpoint sweep is declared divergent (an assert in
+/// debug builds). Probes on cycles, grids, percolation grids and cactus
+/// chains at k in {4, 16, 64} all converge within 2 rounds per relation.
+inline constexpr std::size_t kMaxFixpointRounds = 32;
+
+namespace detail {
+/// Per-thread scratch of one cluster's step in a construction pass. The
+/// passes never nest.
+struct PassScratch {
+  decomp::ClusterInfo cluster;  // cache fill: the cluster search
+  std::vector<BoundaryInstance> boundary;   // cache fill
+  std::vector<std::uint8_t> skipped_child;  // labeling: tree instances seen
+  /// Fixpoint sweep: (group key, first element) per group. A cluster has
+  /// only 1 + children directions, so a linear scan.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> rep;
+  bool busy = false;
+
+  void trim() {
+    primitives::trim_scratch(cluster.members);
+    primitives::trim_scratch(cluster.parent);
+    primitives::trim_scratch(boundary);
+    primitives::trim_scratch(skipped_child);
+    primitives::trim_scratch(rep);
+  }
+};
+inline PassScratch& pass_scratch() {
+  thread_local PassScratch s;
+  return s;
+}
+}  // namespace detail
+
 // ---------------------------------------------------------------------------
 // construction
 // ---------------------------------------------------------------------------
@@ -85,7 +116,7 @@ void BiconnectivityOracle<G>::run_construction(const BiconnOracleOptions& opt,
     }
     {
       const amem::ScopedPhase phase("biconn_build/fixpoints");
-      run_fixpoints(opt.max_fixpoint_rounds, threads, rc);
+      run_fixpoints(threads, rc);
     }
     {
       const amem::ScopedPhase phase("biconn_build/bits");
@@ -119,11 +150,17 @@ void BiconnectivityOracle<G>::fill_build_cache(BuildCache& cache,
     if (!is_dirty(rc, ci)) return;  // clean clusters are never enumerated
     const vid s = decomp_.center_list()[ci];
     amem::count_read();
-    decomp::ClusterInfo c = decomp_.cluster(s);
-    cg.for_boundary_edges_of(c, s, [&](vid cj, vid u, vid w) {
-      cache.boundary[ci].push_back({cj, u, w});
-    });
-    cache.members[ci] = std::move(c.members);
+    // Search and enumerate into per-thread scratch, then copy each entry
+    // out at its exact size.
+    const primitives::ScratchUse use(detail::pass_scratch());
+    decomp::ClusterInfo& c = use.scratch().cluster;
+    std::vector<BoundaryInstance>& b = use.scratch().boundary;
+    decomp_.cluster(s, c);
+    b.clear();
+    cg.for_boundary_edges_of(
+        c, s, [&](vid cj, vid u, vid w) { b.push_back({cj, u, w}); });
+    cache.members[ci].assign(c.members.begin(), c.members.end());
+    cache.boundary[ci].assign(b.begin(), b.end());
     cache.cached[ci] = 1;
   });
 }
@@ -236,8 +273,9 @@ void BiconnectivityOracle<G>::build_cluster_labeling(std::size_t threads,
     }
     std::uint32_t mn = ctree().first[ci], mx = ctree().first[ci];
     bool skipped_parent = false;
-    std::vector<std::uint8_t> skipped_child(children_off_[ci + 1] -
-                                            children_off_[ci]);
+    const primitives::ScratchUse use(detail::pass_scratch());
+    std::vector<std::uint8_t>& skipped_child = use.scratch().skipped_child;
+    skipped_child.assign(children_off_[ci + 1] - children_off_[ci], 0);
     for_boundary_cached(cg, vid(ci), [&](vid cj, vid u, vid w) {
       if (is_tree_instance(vid(ci), cj, u, w)) {
         if (cparent_[cj] == vid(ci)) {
@@ -329,8 +367,7 @@ void BiconnectivityOracle<G>::build_cluster_labeling(std::size_t threads,
 }
 
 template <graph::GraphView G>
-void BiconnectivityOracle<G>::run_fixpoints(std::size_t max_rounds,
-                                            std::size_t threads,
+void BiconnectivityOracle<G>::run_fixpoints(std::size_t threads,
                                             const ReuseContext* rc) {
   // Under a ReuseContext, clean clusters keep their converged DSU entries
   // (cluster indices are stable, and a DSU chain never leaves its
@@ -360,49 +397,64 @@ void BiconnectivityOracle<G>::run_fixpoints(std::size_t max_rounds,
   // local block (tecc class for the 2ecc variant) and union within groups.
   // Jacobi discipline: local views read the round-start DSU (no writes
   // happen during collection, so the parallel pass is race-free); the
-  // collected merge pairs apply afterwards in cluster order.
+  // collected merge pairs apply afterwards in cluster order. A cluster's
+  // 1 + children directions yield at most `children` pairs, so its pairs
+  // fit in its own range of the children CSR.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs(
+      children_off_[nc_]);
+  std::vector<std::uint32_t> npairs(nc_);
   const auto sweep = [&](std::vector<std::uint32_t>& dsu, bool tecc) {
-    std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>>
-        pairs(nc_);
     over_clusters(threads, [&](std::size_t ci) {
+      npairs[ci] = 0;
       if (!is_dirty(rc, ci)) return;
-      const LocalView lv = local_view(ci, tecc, /*extra_lprime=*/true);
+      const auto lv = local_view(ci, tecc, /*extra_lprime=*/true);
       // (element, group key): key = local block of the edge instance, or
       // tecc class of the outside node for the 2ecc relation (guarded by
       // the edge not being a local bridge).
-      std::unordered_map<std::uint32_t, std::uint32_t> rep;  // key -> elem
+      const primitives::ScratchUse use(detail::pass_scratch());
+      auto& rep = use.scratch().rep;  // (key, first elem)
+      rep.clear();
       const auto consider = [&](std::uint32_t elem, std::uint32_t edge,
                                 std::uint32_t node) {
         std::uint32_t key;
         if (tecc) {
-          if (lv.bc.is_bridge[edge]) return;  // bridges chain nothing
-          key = lv.bc.tecc_label[node];
+          if (lv->bc.is_bridge[edge]) return;  // bridges chain nothing
+          key = lv->bc.tecc_label[node];
         } else {
-          key = lv.bc.edge_bcc[edge];
+          key = lv->bc.edge_bcc[edge];
           if (key == primitives::BiconnResult::kNone) return;
         }
-        const auto [it, fresh] = rep.emplace(key, elem);
-        if (!fresh) pairs[ci].push_back({it->second, elem});
+        for (const auto& [k, first] : rep) {
+          if (k == key) {
+            assert(children_off_[ci] + npairs[ci] < children_off_[ci + 1]);
+            pairs[children_off_[ci] + npairs[ci]++] = {first, elem};
+            return;
+          }
+        }
+        rep.push_back({key, elem});
       };
       if (cparent_[ci] != vid(ci)) {
-        consider(std::uint32_t(ci), lv.parent_edge, lv.parent_node);
+        consider(std::uint32_t(ci), lv->parent_edge, lv->parent_node);
       }
       const std::uint32_t nch = children_off_[ci + 1] - children_off_[ci];
       for (std::uint32_t s = 0; s < nch; ++s) {
         consider(std::uint32_t(children_[children_off_[ci] + s]),
-                 lv.child_edges[s], lv.child_nodes[s]);
+                 lv->child_edges[s], lv->child_nodes[s]);
       }
     });
     bool changed = false;
-    for (const auto& pc : pairs) {
-      for (const auto& [a, b] : pc) changed |= unite(dsu, a, b);
+    for (std::size_t ci = 0; ci < nc_; ++ci) {
+      for (std::uint32_t i = 0; i < npairs[ci]; ++i) {
+        const auto [a, b] = pairs[children_off_[ci] + i];
+        changed |= unite(dsu, a, b);
+      }
     }
     return changed;
   };
 
   rounds_bc_ = 1;
   while (sweep(dsu_bc_, false)) {
-    if (++rounds_bc_ > max_rounds) {
+    if (++rounds_bc_ > kMaxFixpointRounds) {
       assert(false && "biconnectivity fixpoint failed to converge");
       break;
     }
@@ -415,7 +467,7 @@ void BiconnectivityOracle<G>::run_fixpoints(std::size_t max_rounds,
   amem::count_write(nc_);
   rounds_te_ = 1;
   while (sweep(dsu_te_, true)) {
-    if (++rounds_te_ > max_rounds) {
+    if (++rounds_te_ > kMaxFixpointRounds) {
       assert(false && "2ecc fixpoint failed to converge");
       break;
     }
@@ -452,8 +504,10 @@ void BiconnectivityOracle<G>::finalize_bits(std::size_t threads,
           rc->old->internal_off_[ci + 1] - rc->old->internal_off_[ci];
       return;
     }
-    const LocalView lvb = local_view(ci, false, false);
-    const LocalView lvt = local_view(ci, true, false);
+    const auto hb = local_view(ci, false, false);
+    const auto ht = local_view(ci, true, false);
+    const LocalView& lvb = *hb;
+    const LocalView& lvt = *ht;
     const bool has_parent = cparent_[ci] != vid(ci);
     const std::uint32_t root_idx =
         has_parent ? lvb.member_idx.at(croot_[ci]) : kNone;

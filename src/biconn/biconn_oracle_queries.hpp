@@ -17,12 +17,12 @@ template <graph::GraphView G>
 bool BiconnectivityOracle<G>::is_articulation(graph::vertex_id v) const {
   const auto r = decomp_.rho(v);
   if (r.virtual_center) {
-    const VirtualView vv = virtual_view(v);
-    return vv.bc.is_artic[vv.member_idx.at(v)] != 0;
+    const auto vv = virtual_view(v);
+    return vv->bc.is_artic[vv->member_idx.at(v)] != 0;
   }
   const std::size_t ci = decomp_.center_index(r.center);
-  const LocalView lv = local_view(ci, false, false);
-  return lv.bc.is_artic[lv.member_idx.at(v)] != 0;
+  const auto lv = local_view(ci, false, false);
+  return lv->bc.is_artic[lv->member_idx.at(v)] != 0;
 }
 
 template <graph::GraphView G>
@@ -35,20 +35,20 @@ bool BiconnectivityOracle<G>::is_bridge(graph::vertex_id u,
     if (!ru.virtual_center || !rv.virtual_center || ru.center != rv.center) {
       return false;  // different components: not even an edge
     }
-    const VirtualView vv = virtual_view(u);
-    const std::uint32_t ui = vv.member_idx.at(u), vi = vv.member_idx.at(v);
-    for (const auto& [w, e] : vv.lg.adj[ui]) {
-      if (w == vi) return vv.bc.is_bridge[e] != 0;  // doubled => 0 anyway
+    const auto vv = virtual_view(u);
+    const std::uint32_t ui = vv->member_idx.at(u), vi = vv->member_idx.at(v);
+    for (const auto& [w, e] : vv->lg.arcs(ui)) {
+      if (w == vi) return vv->bc.is_bridge[e] != 0;  // doubled => 0 anyway
     }
     return false;
   }
   const std::size_t cu = decomp_.center_index(ru.center);
   const std::size_t cv = decomp_.center_index(rv.center);
   if (cu == cv) {
-    const LocalView lv = local_view(cu, true, false);
-    const std::uint32_t ui = lv.member_idx.at(u), vi = lv.member_idx.at(v);
-    for (const auto& [w, e] : lv.lg.adj[ui]) {
-      if (w == vi) return lv.bc.is_bridge[e] != 0;
+    const auto lv = local_view(cu, true, false);
+    const std::uint32_t ui = lv->member_idx.at(u), vi = lv->member_idx.at(v);
+    for (const auto& [w, e] : lv->lg.arcs(ui)) {
+      if (w == vi) return lv->bc.is_bridge[e] != 0;
     }
     return false;
   }
@@ -74,14 +74,14 @@ bool BiconnectivityOracle<G>::biconnected(graph::vertex_id u,
     if (!ru.virtual_center || !rv.virtual_center || ru.center != rv.center) {
       return false;
     }
-    const VirtualView vv = virtual_view(u);
-    return vv.bc.same_bcc(vv.lg, vv.member_idx.at(u), vv.member_idx.at(v));
+    const auto vv = virtual_view(u);
+    return vv->bc.same_bcc(vv->lg, vv->member_idx.at(u), vv->member_idx.at(v));
   }
   const std::size_t cu = decomp_.center_index(ru.center);
   const std::size_t cv = decomp_.center_index(rv.center);
   if (cu == cv) {
-    const LocalView lv = local_view(cu, false, false);
-    return lv.bc.same_bcc(lv.lg, lv.member_idx.at(u), lv.member_idx.at(v));
+    const auto lv = local_view(cu, false, false);
+    return lv->bc.same_bcc(lv->lg, lv->member_idx.at(u), lv->member_idx.at(v));
   }
   amem::count_read(2);
   if (ccomp_[cu] != ccomp_[cv]) return false;
@@ -92,9 +92,9 @@ bool BiconnectivityOracle<G>::biconnected(graph::vertex_id u,
   const auto leg = [&](std::size_t cend,
                        graph::vertex_id vert) -> std::pair<bool, vid> {
     if (cend == std::size_t(L)) return {true, kNo};
-    const LocalView lv = local_view(cend, false, false);
-    if (!lv.bc.vertex_in_block(lv.lg, lv.member_idx.at(vert),
-                               lv.parent_edge)) {
+    const auto lv = local_view(cend, false, false);
+    if (!lv->bc.vertex_in_block(lv->lg, lv->member_idx.at(vert),
+                                lv->parent_edge)) {
       return {false, kNo};
     }
     const vid child_of_l =
@@ -108,21 +108,21 @@ bool BiconnectivityOracle<G>::biconnected(graph::vertex_id u,
   const auto [ok2, d2] = leg(cv, v);
   if (!ok2) return false;
 
-  const LocalView lvL = local_view(std::size_t(L), false, false);
+  const auto lvL = local_view(std::size_t(L), false, false);
   const auto edge_of = [&](vid d) {
-    return lvL.child_edges[child_slot(L, d)];
+    return lvL->child_edges[child_slot(L, d)];
   };
   if (cu == std::size_t(L)) {
-    return lvL.bc.vertex_in_block(lvL.lg, lvL.member_idx.at(u),
-                                  edge_of(d2));
+    return lvL->bc.vertex_in_block(lvL->lg, lvL->member_idx.at(u),
+                                   edge_of(d2));
   }
   if (cv == std::size_t(L)) {
-    return lvL.bc.vertex_in_block(lvL.lg, lvL.member_idx.at(v),
-                                  edge_of(d1));
+    return lvL->bc.vertex_in_block(lvL->lg, lvL->member_idx.at(v),
+                                   edge_of(d1));
   }
-  const auto b1 = lvL.bc.edge_bcc[edge_of(d1)];
+  const auto b1 = lvL->bc.edge_bcc[edge_of(d1)];
   return b1 != primitives::BiconnResult::kNone &&
-         b1 == lvL.bc.edge_bcc[edge_of(d2)];
+         b1 == lvL->bc.edge_bcc[edge_of(d2)];
 }
 
 template <graph::GraphView G>
@@ -135,16 +135,16 @@ bool BiconnectivityOracle<G>::two_edge_connected(graph::vertex_id u,
     if (!ru.virtual_center || !rv.virtual_center || ru.center != rv.center) {
       return false;
     }
-    const VirtualView vv = virtual_view(u);
-    return vv.bc.two_edge_connected(vv.member_idx.at(u),
-                                    vv.member_idx.at(v));
+    const auto vv = virtual_view(u);
+    return vv->bc.two_edge_connected(vv->member_idx.at(u),
+                                     vv->member_idx.at(v));
   }
   const std::size_t cu = decomp_.center_index(ru.center);
   const std::size_t cv = decomp_.center_index(rv.center);
   if (cu == cv) {
-    const LocalView lv = local_view(cu, true, false);
-    return lv.bc.two_edge_connected(lv.member_idx.at(u),
-                                    lv.member_idx.at(v));
+    const auto lv = local_view(cu, true, false);
+    return lv->bc.two_edge_connected(lv->member_idx.at(u),
+                                     lv->member_idx.at(v));
   }
   amem::count_read(2);
   if (ccomp_[cu] != ccomp_[cv]) return false;
@@ -153,9 +153,9 @@ bool BiconnectivityOracle<G>::two_edge_connected(graph::vertex_id u,
   const auto leg = [&](std::size_t cend,
                        graph::vertex_id vert) -> std::pair<bool, vid> {
     if (cend == std::size_t(L)) return {true, kNo};
-    const LocalView lv = local_view(cend, true, false);
-    if (lv.bc.tecc_label[lv.member_idx.at(vert)] !=
-        lv.bc.tecc_label[lv.parent_node]) {
+    const auto lv = local_view(cend, true, false);
+    if (lv->bc.tecc_label[lv->member_idx.at(vert)] !=
+        lv->bc.tecc_label[lv->parent_node]) {
       return {false, kNo};
     }
     const vid child_of_l =
@@ -169,19 +169,19 @@ bool BiconnectivityOracle<G>::two_edge_connected(graph::vertex_id u,
   const auto [ok2, d2] = leg(cv, v);
   if (!ok2) return false;
 
-  const LocalView lvL = local_view(std::size_t(L), true, false);
+  const auto lvL = local_view(std::size_t(L), true, false);
   const auto node_of = [&](vid d) {
-    return lvL.child_nodes[child_slot(L, d)];
+    return lvL->child_nodes[child_slot(L, d)];
   };
   if (cu == std::size_t(L)) {
-    return lvL.bc.tecc_label[lvL.member_idx.at(u)] ==
-           lvL.bc.tecc_label[node_of(d2)];
+    return lvL->bc.tecc_label[lvL->member_idx.at(u)] ==
+           lvL->bc.tecc_label[node_of(d2)];
   }
   if (cv == std::size_t(L)) {
-    return lvL.bc.tecc_label[lvL.member_idx.at(v)] ==
-           lvL.bc.tecc_label[node_of(d1)];
+    return lvL->bc.tecc_label[lvL->member_idx.at(v)] ==
+           lvL->bc.tecc_label[node_of(d1)];
   }
-  return lvL.bc.tecc_label[node_of(d1)] == lvL.bc.tecc_label[node_of(d2)];
+  return lvL->bc.tecc_label[node_of(d1)] == lvL->bc.tecc_label[node_of(d2)];
 }
 
 // The canonical 2ec class name mirrors the pairwise query's chain: a
@@ -207,22 +207,22 @@ std::uint64_t BiconnectivityOracle<G>::two_edge_class(
   };
   const auto ru = decomp_.rho(u);
   if (ru.virtual_center) {
-    const VirtualView vv = virtual_view(u);
-    const std::uint32_t lab = vv.bc.tecc_label[vv.member_idx.at(u)];
+    const auto vv = virtual_view(u);
+    const std::uint32_t lab = vv->bc.tecc_label[vv->member_idx.at(u)];
     graph::vertex_id rep = u;
-    for (std::uint32_t i = 0; i < vv.members.size(); ++i) {
-      if (vv.bc.tecc_label[i] == lab && vv.members[i] < rep) {
-        rep = vv.members[i];
+    for (std::uint32_t i = 0; i < vv->members.size(); ++i) {
+      if (vv->bc.tecc_label[i] == lab && vv->members[i] < rep) {
+        rep = vv->members[i];
       }
     }
     return (std::uint64_t{1} << 63) | rep;
   }
   const std::size_t cu = decomp_.center_index(ru.center);
-  const LocalView lv = local_view(cu, true, false);
-  const std::uint32_t lab = lv.bc.tecc_label[lv.member_idx.at(u)];
+  const auto lv = local_view(cu, true, false);
+  const std::uint32_t lab = lv->bc.tecc_label[lv->member_idx.at(u)];
   amem::count_read();
   if (cparent_[cu] == vid(cu) ||
-      lab != lv.bc.tecc_label[lv.parent_node]) {
+      lab != lv->bc.tecc_label[lv->parent_node]) {
     return pack(false, cu, lab);
   }
   // u is 2ec with its cluster's upward exit. The chain stalls exactly at
@@ -252,10 +252,10 @@ std::uint64_t BiconnectivityOracle<G>::two_edge_class(
     bstop = clca_.ancestor_at_depth(vid(cu), lo);
   }
   const vid top = cparent_[bstop];
-  const LocalView lvt = local_view(std::size_t(top), true, false);
+  const auto lvt = local_view(std::size_t(top), true, false);
   return pack(
       false, std::uint64_t(top),
-      lvt.bc.tecc_label[lvt.child_nodes[child_slot(top, bstop)]]);
+      lvt->bc.tecc_label[lvt->child_nodes[child_slot(top, bstop)]]);
 }
 
 template <graph::GraphView G>
@@ -268,32 +268,32 @@ std::optional<BccId> BiconnectivityOracle<G>::edge_bcc(
     if (!ru.virtual_center || !rv.virtual_center || ru.center != rv.center) {
       return std::nullopt;
     }
-    const VirtualView vv = virtual_view(u);
-    const std::uint32_t ui = vv.member_idx.at(u), vi = vv.member_idx.at(v);
-    for (const auto& [w, e] : vv.lg.adj[ui]) {
+    const auto vv = virtual_view(u);
+    const std::uint32_t ui = vv->member_idx.at(u), vi = vv->member_idx.at(v);
+    for (const auto& [w, e] : vv->lg.arcs(ui)) {
       if (w == vi) {
         // Local block numbers depend on which member virtual_view() grew
         // from, so the id uses each block's rank by its lexicographically
         // smallest global edge — blocks partition edges, so that minimum
         // is unique per block and identical from every entry vertex.
-        const std::uint32_t b = vv.bc.edge_bcc[e];
-        std::vector<std::uint64_t> best(vv.bc.num_bcc, ~std::uint64_t{0});
-        for (std::uint32_t f = 0; f < vv.lg.num_edges(); ++f) {
-          const auto blk = vv.bc.edge_bcc[f];
+        const std::uint32_t b = vv->bc.edge_bcc[e];
+        std::vector<std::uint64_t> best(vv->bc.num_bcc, ~std::uint64_t{0});
+        for (std::uint32_t f = 0; f < vv->lg.num_edges(); ++f) {
+          const auto blk = vv->bc.edge_bcc[f];
           if (blk == primitives::BiconnResult::kNone) continue;
-          const auto [x, y] = vv.lg.edges[f];
-          const graph::vertex_id gx = vv.members[x];
-          const graph::vertex_id gy = vv.members[y];
+          const auto [x, y] = vv->lg.edges[f];
+          const graph::vertex_id gx = vv->members[x];
+          const graph::vertex_id gy = vv->members[y];
           const std::uint64_t key =
               (std::uint64_t(std::min(gx, gy)) << 32) | std::max(gx, gy);
           if (key < best[blk]) best[blk] = key;
         }
         std::uint32_t rank = 0;
-        for (std::uint32_t blk = 0; blk < vv.bc.num_bcc; ++blk) {
+        for (std::uint32_t blk = 0; blk < vv->bc.num_bcc; ++blk) {
           if (best[blk] < best[b]) ++rank;
         }
         return BccId{BccId::Kind::kVirtual,
-                     (std::uint64_t(vv.comp_min) << 20) | rank};
+                     (std::uint64_t(vv->comp_min) << 20) | rank};
       }
     }
     return std::nullopt;
@@ -315,17 +315,17 @@ std::optional<BccId> BiconnectivityOracle<G>::edge_bcc(
     }
     // Cross edge: resolve through u's local view; its block necessarily
     // meets a clusters-tree edge of cu (the tree path to v crosses one).
-    const LocalView lv = local_view(cu, false, false);
-    const std::uint32_t ui = lv.member_idx.at(u);
-    for (const auto& [w, e] : lv.lg.adj[ui]) {
+    const auto lv = local_view(cu, false, false);
+    const std::uint32_t ui = lv->member_idx.at(u);
+    for (const auto& [w, e] : lv->lg.arcs(ui)) {
       (void)w;
-      if (lv.edge_origin[e] != std::make_pair(u, v)) continue;
-      const auto b = lv.bc.edge_bcc[e];
-      if (lv.parent_edge != kNone && b == lv.bc.edge_bcc[lv.parent_edge]) {
+      if (lv->edge_origin[e] != std::make_pair(u, v)) continue;
+      const auto b = lv->bc.edge_bcc[e];
+      if (lv->parent_edge != kNone && b == lv->bc.edge_bcc[lv->parent_edge]) {
         return spanning(std::uint32_t(cu));
       }
-      for (std::uint32_t sl = 0; sl < lv.child_edges.size(); ++sl) {
-        if (b == lv.bc.edge_bcc[lv.child_edges[sl]]) {
+      for (std::uint32_t sl = 0; sl < lv->child_edges.size(); ++sl) {
+        if (b == lv->bc.edge_bcc[lv->child_edges[sl]]) {
           return spanning(children_[children_off_[cu] + sl]);
         }
       }
@@ -336,24 +336,24 @@ std::optional<BccId> BiconnectivityOracle<G>::edge_bcc(
   }
 
   // Intra-cluster edge.
-  const LocalView lv = local_view(cu, false, false);
-  const std::uint32_t ui = lv.member_idx.at(u);
-  for (const auto& [w, e] : lv.lg.adj[ui]) {
+  const auto lv = local_view(cu, false, false);
+  const std::uint32_t ui = lv->member_idx.at(u);
+  for (const auto& [w, e] : lv->lg.arcs(ui)) {
     (void)w;
-    if (lv.edge_origin[e] != std::make_pair(std::min(u, v), std::max(u, v)))
+    if (lv->edge_origin[e] != std::make_pair(std::min(u, v), std::max(u, v)))
       continue;
-    const auto b = lv.bc.edge_bcc[e];
+    const auto b = lv->bc.edge_bcc[e];
     if (b == primitives::BiconnResult::kNone) continue;
-    if (lv.parent_edge != kNone && b == lv.bc.edge_bcc[lv.parent_edge]) {
+    if (lv->parent_edge != kNone && b == lv->bc.edge_bcc[lv->parent_edge]) {
       return spanning(std::uint32_t(cu));
     }
-    for (std::uint32_t sl = 0; sl < lv.child_edges.size(); ++sl) {
-      if (b == lv.bc.edge_bcc[lv.child_edges[sl]]) {
+    for (std::uint32_t sl = 0; sl < lv->child_edges.size(); ++sl) {
+      if (b == lv->bc.edge_bcc[lv->child_edges[sl]]) {
         return spanning(children_[children_off_[cu] + sl]);
       }
     }
     // Internal block (Lemma 5.7): per-cluster offset + local rank.
-    const InternalBlocks ib = internal_blocks(lv);
+    const InternalBlocks ib = internal_blocks(*lv);
     assert(ib.internal[b]);
     std::uint32_t rank = 0;
     for (std::uint32_t j = 0; j < b; ++j) rank += ib.internal[j];

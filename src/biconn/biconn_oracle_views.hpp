@@ -1,10 +1,14 @@
 // Local-graph construction for BiconnectivityOracle (Definition 4).
 // Included from biconn_oracle_impl.hpp.
 //
-// A view's lookup tables are flat (primitives::FlatMap). The ones that die
-// with the call live in per-thread ViewScratch, reused across calls and
-// trimmed back to primitives::kScratchRetainEntries after each; the view
-// keeps only its own member index. The SymScratch claims are unchanged.
+// A view is filled in place into a per-thread slot (detail::HeldView): its
+// local graph, member index, Hopcroft–Tarjan result and, outside a
+// construction, its cluster members all reuse the slot's buffers, and
+// during a construction its members are read from the build cache instead
+// of being copied. The lookup tables that die with the fill live in
+// per-thread ViewScratch. Everything is trimmed back to
+// primitives::kScratchRetainEntries when its use ends, so a warm view makes
+// no heap allocation. The SymScratch claims are unchanged.
 #pragma once
 
 namespace wecc::biconn {
@@ -68,21 +72,23 @@ std::uint32_t BiconnectivityOracle<G>::direction_of(std::size_t from,
 }
 
 template <graph::GraphView G>
-typename BiconnectivityOracle<G>::LocalView
-BiconnectivityOracle<G>::local_view(std::size_t ci, bool use_tecc_equiv,
-                                    bool extra_lprime) const {
-  LocalView lv;
+void BiconnectivityOracle<G>::fill_local_view(std::size_t ci,
+                                              bool use_tecc_equiv,
+                                              bool extra_lprime,
+                                              LocalView& lv) const {
   const vid s = decomp_.center_list()[ci];
   amem::count_read();
   const bool from_cache = cache_ != nullptr && cache_->cached[ci] != 0;
   if (from_cache) {
     lv.members = cache_->members[ci];
   } else {
-    lv.members = decomp_.cluster(s).members;
+    decomp_.cluster(s, lv.cluster);
+    lv.members = lv.cluster.members;
   }
   amem::SymScratch scratch(4 * lv.members.size() + 8);
   const primitives::ScratchUse use(detail::view_scratch());
   detail::ViewScratch& vs = use.scratch();
+  lv.member_idx.clear();
   lv.member_idx.reserve(lv.members.size());
   for (std::uint32_t i = 0; i < lv.members.size(); ++i) {
     lv.member_idx.try_emplace(lv.members[i], i);
@@ -91,8 +97,10 @@ BiconnectivityOracle<G>::local_view(std::size_t ci, bool use_tecc_equiv,
   const bool has_parent = cparent_[ci] != vid(ci);
   const std::uint32_t nch = children_off_[ci + 1] - children_off_[ci];
   const std::uint32_t nm = std::uint32_t(lv.members.size());
-  lv.lg = primitives::LocalGraph(nm + (has_parent ? 1 : 0) + nch);
-  if (has_parent) lv.parent_node = nm;
+  lv.lg.reset(nm + (has_parent ? 1 : 0) + nch);
+  lv.edge_origin.clear();
+  lv.parent_node = has_parent ? nm : kNone;
+  lv.parent_edge = kNone;
   lv.child_nodes.resize(nch);
   lv.child_edges.assign(nch, kNone);
   for (std::uint32_t sl = 0; sl < nch; ++sl) {
@@ -250,8 +258,8 @@ BiconnectivityOracle<G>::local_view(std::size_t ci, bool use_tecc_equiv,
     }
   }
 
-  lv.bc = primitives::biconnectivity(lv.lg);
-  return lv;
+  lv.lg.build();
+  primitives::biconnectivity(lv.lg, lv.bc);
 }
 
 template <graph::GraphView G>
@@ -271,15 +279,15 @@ BiconnectivityOracle<G>::internal_blocks(const LocalView& lv) const {
 }
 
 template <graph::GraphView G>
-typename BiconnectivityOracle<G>::VirtualView
-BiconnectivityOracle<G>::virtual_view(vid any_member) const {
-  VirtualView vv;
+void BiconnectivityOracle<G>::fill_virtual_view(vid any_member,
+                                                VirtualView& vv) const {
   const primitives::ScratchUse use(detail::view_scratch());
   detail::ViewScratch& vs = use.scratch();
   // Exhaustive BFS (component size < k by construction).
   vs.frontier.assign(1, any_member);
+  vv.member_idx.clear();
   vv.member_idx.try_emplace(any_member, 0);
-  vv.members.push_back(any_member);
+  vv.members.assign(1, any_member);
   amem::SymScratch scratch(2);
   while (!vs.frontier.empty()) {
     vs.next.clear();
@@ -296,15 +304,15 @@ BiconnectivityOracle<G>::virtual_view(vid any_member) const {
     vs.frontier.swap(vs.next);
   }
   vv.comp_min = *std::min_element(vv.members.begin(), vv.members.end());
-  vv.lg = primitives::LocalGraph(vv.members.size());
+  vv.lg.reset(vv.members.size());
   for (std::uint32_t mi = 0; mi < vv.members.size(); ++mi) {
     const vid u = vv.members[mi];
     decomp_.graph().for_neighbors(u, [&](vid w) {
       if (w > u) vv.lg.add_edge(mi, vv.member_idx.at(w));
     });
   }
-  vv.bc = primitives::biconnectivity(vv.lg);
-  return vv;
+  vv.lg.build();
+  primitives::biconnectivity(vv.lg, vv.bc);
 }
 
 }  // namespace wecc::biconn

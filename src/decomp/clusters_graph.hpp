@@ -15,6 +15,25 @@
 
 namespace wecc::decomp {
 
+namespace detail {
+/// Per-thread scratch of one boundary enumeration: the member set and one
+/// member's sorted neighbours. Enumerations never nest.
+struct BoundaryScratch {
+  primitives::FlatMap<graph::vertex_id> members;
+  std::vector<graph::vertex_id> nbrs;
+  bool busy = false;
+
+  void trim() {
+    members.clear_and_trim();
+    primitives::trim_scratch(nbrs);
+  }
+};
+inline BoundaryScratch& boundary_scratch() {
+  thread_local BoundaryScratch s;
+  return s;
+}
+}  // namespace detail
+
 template <graph::GraphView G>
 class ClustersGraph {
  public:
@@ -56,11 +75,13 @@ class ClustersGraph {
   void for_boundary_edges_of(const ClusterInfo& c, graph::vertex_id s,
                              F&& fn) const {
     using graph::vertex_id;
-    primitives::FlatMap<vertex_id> members;
+    const primitives::ScratchUse use(detail::boundary_scratch());
+    primitives::FlatMap<vertex_id>& members = use.scratch().members;
+    members.clear();
     members.reserve(c.members.size());
     for (const vertex_id u : c.members) members.insert(u);
     amem::SymScratch scratch(c.members.size());
-    std::vector<vertex_id> nbrs;
+    std::vector<vertex_id>& nbrs = use.scratch().nbrs;
     for (const vertex_id u : c.members) {
       nbrs.clear();
       d_->graph().for_neighbors(u, [&](vertex_id w) { nbrs.push_back(w); });

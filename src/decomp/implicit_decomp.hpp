@@ -187,10 +187,17 @@ class ImplicitDecomposition {
   /// as when it was allocated per call. Safe to call from many threads.
   [[nodiscard]] RhoResult rho(graph::vertex_id v) const;
 
-  /// Lemma 3.5: the cluster of center s (s may be a virtual center).
-  /// No asymmetric writes; O(|C| + k log n) scratch whp, per-thread and
-  /// reused like rho's (an instance of its own: rho runs inside it).
-  [[nodiscard]] ClusterInfo cluster(graph::vertex_id s) const;
+  /// Lemma 3.5: the cluster of center s (s may be a virtual center),
+  /// written over `out` (whose buffers keep their capacity). No asymmetric
+  /// writes; O(|C| + k log n) scratch whp, per-thread and reused like
+  /// rho's (an instance of its own: rho runs inside it).
+  void cluster(graph::vertex_id s, ClusterInfo& out) const;
+  /// By-value form of the above.
+  [[nodiscard]] ClusterInfo cluster(graph::vertex_id s) const {
+    ClusterInfo c;
+    cluster(s, c);
+    return c;
+  }
 
   /// Dense index of a (real) center in center_list(), by binary search.
   [[nodiscard]] std::size_t center_index(graph::vertex_id c) const {
@@ -352,11 +359,12 @@ void ImplicitDecomposition<G>::member_bfs(detail::SearchScratch& s,
 }
 
 template <graph::GraphView G>
-ClusterInfo ImplicitDecomposition<G>::cluster(graph::vertex_id s) const {
-  ClusterInfo c;
+void ImplicitDecomposition<G>::cluster(graph::vertex_id s,
+                                       ClusterInfo& out) const {
+  out.members.clear();
+  out.parent.clear();
   const detail::ScratchUse use(detail::cluster_scratch());
-  member_bfs(use.scratch(), s, c, ~std::size_t{0});
-  return c;
+  member_bfs(use.scratch(), s, out, ~std::size_t{0});
 }
 
 template <graph::GraphView G>

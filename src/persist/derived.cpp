@@ -108,6 +108,7 @@ DerivedState DerivedState::compute(std::size_t n, const graph::EdgeList& edges,
   // Full surface: one Hopcroft–Tarjan pass over the multigraph.
   primitives::LocalGraph lg(n);
   for (const graph::Edge& e : edges) lg.add_edge(e.u, e.v);
+  lg.build();
   const primitives::BiconnResult bc = primitives::biconnectivity(lg);
 
   s.cc_label_.assign(bc.cc_label.begin(), bc.cc_label.end());

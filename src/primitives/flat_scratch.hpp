@@ -5,9 +5,12 @@
 // power-of-two slot array kept at most half full. A generation stamp marks
 // the live slots, so clear() is O(1) and one instance serves many small
 // searches without touching the allocator. The decomposition kernel's
-// visited sets (rho, cluster searches) and the biconnectivity local views'
-// lookup tables live in per-thread instances, each taken for one call
-// through ScratchUse, which trims it back to kScratchRetainEntries after.
+// visited sets (rho, cluster searches, boundary enumeration), the
+// biconnectivity oracle's local views (graph, member index, Hopcroft–Tarjan
+// result; two slots per thread, biconn_oracle.hpp's HeldView), their
+// construction tables and the rebuild passes' per-cluster scratch all live
+// in per-thread instances, each taken for one use through ScratchUse, which
+// trims it back to kScratchRetainEntries after.
 //
 // Nothing here charges asymmetric reads or writes; callers claim the words
 // they hold through amem::SymScratch, exactly as they did for the per-call

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 #include "primitives/flat_scratch.hpp"
 
@@ -26,10 +27,53 @@ struct DfsScratch {
 };
 }  // namespace
 
-BiconnResult biconnectivity(const LocalGraph& g) {
+void LocalGraph::build() {
+  // Counting sort by endpoint. off_[u] first counts u's arcs, then becomes
+  // the end of u's run; placing the edges in reverse while stepping each
+  // run's cursor back leaves off_[u] at the start of the run and every run
+  // in ascending edge id, i.e. insertion order.
+  off_.assign(n_ + 1, 0);
+  for (const auto& [u, v] : edges) {
+    ++off_[u];
+    if (u != v) ++off_[v];
+  }
+  std::uint32_t end = 0;
+  for (std::size_t u = 0; u < n_; ++u) {
+    end += off_[u];
+    off_[u] = end;
+  }
+  off_[n_] = end;
+  arcs_.resize(end);
+  for (auto e = std::uint32_t(edges.size()); e-- > 0;) {
+    const auto [u, v] = edges[e];
+    arcs_[--off_[u]] = {v, e};
+    if (u != v) arcs_[--off_[v]] = {u, e};
+  }
+  built_ = true;
+}
+
+void LocalGraph::trim() {
+  trim_scratch(edges);
+  trim_scratch(off_);
+  trim_scratch(arcs_);
+}
+
+void BiconnResult::trim() {
+  trim_scratch(edge_bcc);
+  trim_scratch(is_bridge);
+  trim_scratch(is_artic);
+  trim_scratch(cc_label);
+  trim_scratch(tecc_label);
+}
+
+void biconnectivity(const LocalGraph& g, BiconnResult& r) {
+  if (!g.built()) {
+    throw std::logic_error("biconnectivity: LocalGraph::build() not run");
+  }
   const std::size_t n = g.num_vertices();
   const std::size_t m = g.num_edges();
-  BiconnResult r;
+  r.num_bcc = 0;
+  r.num_cc = 0;
   r.edge_bcc.assign(m, BiconnResult::kNone);
   r.is_bridge.assign(m, 0);
   r.is_artic.assign(n, 0);
@@ -47,7 +91,7 @@ BiconnResult biconnectivity(const LocalGraph& g) {
   parent_edge.assign(n, kUnvisited);
   std::vector<std::uint32_t>& edge_stack = s.edge_stack;  // awaiting a pop
   edge_stack.clear();
-  // Iterative DFS frame: (vertex, index into adj[vertex]).
+  // Iterative DFS frame: (vertex, index into its arcs).
   std::vector<std::pair<std::uint32_t, std::uint32_t>>& frames = s.frames;
   frames.clear();
   std::uint32_t clock = 0;
@@ -63,8 +107,8 @@ BiconnResult biconnectivity(const LocalGraph& g) {
 
     while (!frames.empty()) {
       auto& [u, ai] = frames.back();
-      if (ai < g.adj[u].size()) {
-        const auto [w, eid] = g.adj[u][ai++];
+      if (const auto arcs = g.arcs(u); ai < arcs.size()) {
+        const auto [w, eid] = arcs[ai++];
         if (w == u) continue;                 // self-loop: no block
         if (eid == parent_edge[u]) continue;  // the tree-edge instance
         if (disc[w] == kUnvisited) {
@@ -138,15 +182,14 @@ BiconnResult biconnectivity(const LocalGraph& g) {
       r.tecc_label[v] = label[rt];
     }
   }
-  return r;
 }
 
 bool BiconnResult::same_bcc(const LocalGraph& g, std::uint32_t u,
                             std::uint32_t v) const {
   if (u == v) return true;
-  for (const auto& [w1, e1] : g.adj[u]) {
+  for (const auto& [w1, e1] : g.arcs(u)) {
     if (w1 == u) continue;
-    for (const auto& [w2, e2] : g.adj[v]) {
+    for (const auto& [w2, e2] : g.arcs(v)) {
       if (w2 == v) continue;
       if (edge_bcc[e1] != kNone && edge_bcc[e1] == edge_bcc[e2]) return true;
     }
@@ -159,7 +202,7 @@ bool BiconnResult::vertex_in_block(const LocalGraph& g, std::uint32_t v,
   const std::uint32_t b = edge_bcc[e];
   if (b == kNone) return false;
   if (g.edges[e].first == v || g.edges[e].second == v) return true;
-  for (const auto& [w, ve] : g.adj[v]) {
+  for (const auto& [w, ve] : g.arcs(v)) {
     if (w == v) continue;
     if (edge_bcc[ve] == b) return true;
   }

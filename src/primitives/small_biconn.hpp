@@ -1,41 +1,79 @@
-// Sequential biconnectivity on an adjacency-list multigraph (Hopcroft–
-// Tarjan), the engine behind
+// Sequential biconnectivity on a flat multigraph (Hopcroft–Tarjan), the
+// engine behind
 //   * the ground-truth checker every oracle property test compares against,
 //   * the per-cluster *local graph* computations of §5.3 (size O(k), held
 //     entirely in symmetric scratch: no asymmetric reads/writes are charged
-//     here — callers charge for building the local graph). The graph and
-//     result are the caller's; the lookup tables around them (member index,
-//     attach slots, redirects) are flat and, except the member index,
-//     per-thread and reused (biconn_oracle_views.hpp).
+//     here — callers charge for building the local graph).
+//
+// The graph is an edge list plus a CSR laid out once by build(); the result
+// is filled in place. Both keep their buffers' capacity across reset() and
+// refills, so the oracle's per-thread local views (biconn_oracle_views.hpp)
+// run warm queries and rebuild sweeps without touching the heap; the DFS
+// and DSU arrays are per-thread scratch of their own.
 //
 // Handles parallel edges (distinct edge ids; a duplicate acts as a back
 // edge, so a doubled edge is correctly non-bridge) and ignores self-loops.
 // Works on disconnected graphs.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 namespace wecc::primitives {
 
-/// Mutable adjacency-list multigraph built in symmetric memory.
+/// Multigraph in symmetric memory: edges are added one by one, then build()
+/// lays out the adjacency as a CSR whose arcs per vertex keep edge-insertion
+/// order (the order the DFS scans, so block numbering is a function of it).
 struct LocalGraph {
-  explicit LocalGraph(std::size_t n) : adj(n) {}
+  using Arc = std::pair<std::uint32_t, std::uint32_t>;  // (neighbor, edge)
 
-  /// Adds edge {u,v}; returns its edge id.
+  LocalGraph() = default;
+  explicit LocalGraph(std::size_t n) : n_(n) {}
+
+  /// Empty graph on n vertices; every buffer keeps its capacity.
+  void reset(std::size_t n) {
+    n_ = n;
+    edges.clear();
+    built_ = false;
+  }
+
+  /// Adds edge {u,v}; returns its edge id. The adjacency is stale until the
+  /// next build().
   std::uint32_t add_edge(std::uint32_t u, std::uint32_t v) {
     const auto id = std::uint32_t(edges.size());
     edges.push_back({u, v});
-    adj[u].push_back({v, id});
-    if (u != v) adj[v].push_back({u, id});
+    built_ = false;
     return id;
   }
 
-  [[nodiscard]] std::size_t num_vertices() const { return adj.size(); }
-  [[nodiscard]] std::size_t num_edges() const { return edges.size(); }
+  /// Lay out the CSR over the edges added so far. O(n + m).
+  void build();
 
-  std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>> adj;
+  /// Arcs of u in edge-insertion order (a self-loop appears once).
+  [[nodiscard]] std::span<const Arc> arcs(std::uint32_t u) const {
+    assert(built_ && u < n_);
+    return {arcs_.data() + off_[u], arcs_.data() + off_[u + 1]};
+  }
+
+  [[nodiscard]] bool built() const noexcept { return built_; }
+  [[nodiscard]] std::size_t num_vertices() const noexcept { return n_; }
+  [[nodiscard]] std::size_t num_edges() const noexcept {
+    return edges.size();
+  }
+
+  /// Release buffers that grew past kScratchRetainEntries (flat_scratch.hpp).
+  void trim();
+
   std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
+
+ private:
+  std::size_t n_ = 0;
+  std::vector<std::uint32_t> off_;  // n + 1 offsets into arcs_
+  std::vector<Arc> arcs_;
+  bool built_ = false;
 };
 
 /// Full biconnectivity decomposition of a LocalGraph.
@@ -61,10 +99,21 @@ struct BiconnResult {
                                         std::uint32_t v) const {
     return tecc_label[u] == tecc_label[v];
   }
+
+  /// Release buffers that grew past kScratchRetainEntries (flat_scratch.hpp).
+  void trim();
 };
 
-/// Run Hopcroft–Tarjan. Deterministic: DFS roots ascend, adjacency is
+/// Run Hopcroft–Tarjan on a built graph (std::logic_error otherwise),
+/// overwriting `out` in place. Deterministic: DFS roots ascend, arcs are
 /// scanned in insertion order. No asymmetric-memory counters are touched.
-BiconnResult biconnectivity(const LocalGraph& g);
+void biconnectivity(const LocalGraph& g, BiconnResult& out);
+
+/// By-value form of the above.
+inline BiconnResult biconnectivity(const LocalGraph& g) {
+  BiconnResult r;
+  biconnectivity(g, r);
+  return r;
+}
 
 }  // namespace wecc::primitives

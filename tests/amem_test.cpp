@@ -156,8 +156,23 @@ TEST_F(AmemTest, ScopedPhaseRecordsDelta) {
     amem::ScopedPhase phase("scoped");
     amem::count_read(7);
     amem::count_write(2);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   EXPECT_EQ(amem::phase_total("scoped"), (amem::Stats{7, 2}));
+  EXPECT_GE(amem::phase_ns("scoped"), 2'000'000u);  // its wall time
+  EXPECT_EQ(amem::phase_ns("missing"), 0u);
+}
+
+TEST_F(AmemTest, PhaseWallTimeAccumulates) {
+  amem::reset_phases();
+  amem::accumulate_phase("timed", {1, 0}, 300);
+  amem::accumulate_phase("timed", {1, 0}, 200);
+  amem::accumulate_phase("untimed", {1, 0});
+  EXPECT_EQ(amem::phase_ns("timed"), 500u);
+  EXPECT_EQ(amem::phase_ns("untimed"), 0u);
+  EXPECT_EQ(amem::phase_total("timed"), (amem::Stats{2, 0}));
+  amem::reset_phases();
+  EXPECT_EQ(amem::phase_ns("timed"), 0u);
 }
 
 }  // namespace

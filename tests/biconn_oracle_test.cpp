@@ -35,6 +35,7 @@ BiconnOracleOptions opts(std::size_t k, std::uint64_t seed = 1) {
 primitives::LocalGraph to_local(const Graph& g) {
   primitives::LocalGraph lg(g.num_vertices());
   for (const auto& e : g.edge_list()) lg.add_edge(e.u, e.v);
+  lg.build();
   return lg;
 }
 

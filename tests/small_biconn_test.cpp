@@ -17,6 +17,7 @@ using primitives::LocalGraph;
 LocalGraph from_graph(const graph::Graph& g) {
   LocalGraph lg(g.num_vertices());
   for (const auto& e : g.edge_list()) lg.add_edge(e.u, e.v);
+  lg.build();
   return lg;
 }
 
@@ -34,7 +35,7 @@ bool brute_is_artic(const LocalGraph& g, std::uint32_t v) {
       while (!st.empty()) {
         const auto u = st.back();
         st.pop_back();
-        for (const auto& [w, e] : g.adj[u]) {
+        for (const auto& [w, e] : g.arcs(u)) {
           if (w != skip && label[w] == -1) {
             label[w] = c;
             st.push_back(w);
@@ -61,7 +62,7 @@ bool brute_is_bridge(const LocalGraph& g, std::uint32_t eid) {
   while (!st.empty()) {
     const auto u = st.back();
     st.pop_back();
-    for (const auto& [w, e] : g.adj[u]) {
+    for (const auto& [w, e] : g.arcs(u)) {
       if (e == eid || seen[w]) continue;
       seen[w] = 1;
       st.push_back(w);
@@ -75,6 +76,7 @@ TEST(SmallBiconn, TriangleIsOneBlockNoArtic) {
   g.add_edge(0, 1);
   g.add_edge(1, 2);
   g.add_edge(2, 0);
+  g.build();
   const auto r = biconnectivity(g);
   EXPECT_EQ(r.num_bcc, 1u);
   for (int v = 0; v < 3; ++v) EXPECT_FALSE(r.is_artic[v]);
@@ -88,6 +90,7 @@ TEST(SmallBiconn, PathIsAllBridges) {
   g.add_edge(0, 1);
   g.add_edge(1, 2);
   g.add_edge(2, 3);
+  g.build();
   const auto r = biconnectivity(g);
   EXPECT_EQ(r.num_bcc, 3u);
   EXPECT_TRUE(r.is_bridge[0] && r.is_bridge[1] && r.is_bridge[2]);
@@ -101,6 +104,7 @@ TEST(SmallBiconn, ParallelEdgeIsNotABridge) {
   LocalGraph g(2);
   g.add_edge(0, 1);
   g.add_edge(0, 1);
+  g.build();
   const auto r = biconnectivity(g);
   EXPECT_FALSE(r.is_bridge[0]);
   EXPECT_FALSE(r.is_bridge[1]);
@@ -112,6 +116,7 @@ TEST(SmallBiconn, SelfLoopIsIgnored) {
   LocalGraph g(2);
   g.add_edge(0, 0);
   g.add_edge(0, 1);
+  g.build();
   const auto r = biconnectivity(g);
   EXPECT_EQ(r.edge_bcc[0], BiconnResult::kNone);
   EXPECT_TRUE(r.is_bridge[1]);
@@ -145,6 +150,7 @@ TEST(SmallBiconn, DisconnectedGraphsHandled) {
   LocalGraph g(5);
   g.add_edge(0, 1);
   g.add_edge(2, 3);
+  g.build();
   const auto r = biconnectivity(g);
   EXPECT_EQ(r.num_cc, 3u);  // {0,1}, {2,3}, {4}
   EXPECT_NE(r.cc_label[0], r.cc_label[2]);
@@ -170,6 +176,7 @@ TEST(SmallBiconn, SameBccQueries) {
   g.add_edge(2, 3);
   g.add_edge(3, 4);
   g.add_edge(4, 2);
+  g.build();
   const auto r = biconnectivity(g);
   EXPECT_TRUE(r.same_bcc(g, 0, 1));
   EXPECT_TRUE(r.same_bcc(g, 0, 2));
@@ -183,6 +190,7 @@ TEST(SmallBiconn, VertexInBlock) {
   const auto e01 = g.add_edge(0, 1);
   const auto e12 = g.add_edge(1, 2);
   g.add_edge(2, 3);
+  g.build();
   const auto r = biconnectivity(g);
   EXPECT_TRUE(r.vertex_in_block(g, 0, e01));
   EXPECT_TRUE(r.vertex_in_block(g, 1, e01));
@@ -203,6 +211,7 @@ TEST_P(SmallBiconnProperty, MatchesBruteForce) {
     g.add_edge(std::uint32_t(rng.next_int(n)),
                std::uint32_t(rng.next_int(n)));  // self-loops possible
   }
+  g.build();
   const auto r = biconnectivity(g);
   for (std::uint32_t e = 0; e < g.num_edges(); ++e) {
     EXPECT_EQ(bool(r.is_bridge[e]), brute_is_bridge(g, e))

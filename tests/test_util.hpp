@@ -153,7 +153,8 @@ class BruteSurface {
       const std::uint32_t id = g_.add_edge(e.u, e.v);
       if (e.u != e.v) pair_edges_[pair_key(e.u, e.v)].push_back(id);
     }
-    bc_ = primitives::biconnectivity(g_);
+    g_.build();
+    primitives::biconnectivity(g_, bc_);
   }
   explicit BruteSurface(const graph::Graph& g)
       : BruteSurface(g.num_vertices(), g.edge_list()) {}

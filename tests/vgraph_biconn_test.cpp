@@ -26,6 +26,7 @@ using graph::vertex_id;
 primitives::LocalGraph to_local(const Graph& g) {
   primitives::LocalGraph lg(g.num_vertices());
   for (const auto& e : g.edge_list()) lg.add_edge(e.u, e.v);
+  lg.build();
   return lg;
 }
 
