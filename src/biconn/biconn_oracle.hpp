@@ -99,8 +99,8 @@ struct BoundaryInstance {
 /// held for the handle's scope; the slot goes back, trimmed to
 /// primitives::kScratchRetainEntries, when the handle dies. Each thread has
 /// two slots per view kind, the most any caller holds at once
-/// (finalize_bits' block and 2ecc views; a query's leg and LCA views), so a
-/// warm view makes no heap allocation.
+/// (finalize_bits' block and 2ecc views; two_edge_class's own cluster and
+/// its top cluster), so a warm view makes no heap allocation.
 template <typename View>
 class HeldView {
  public:
