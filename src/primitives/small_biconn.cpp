@@ -37,7 +37,7 @@ void LocalGraph::build() {
     ++off_[u];
     if (u != v) ++off_[v];
   }
-  std::uint32_t end = 0;
+  std::size_t end = 0;
   for (std::size_t u = 0; u < n_; ++u) {
     end += off_[u];
     off_[u] = end;

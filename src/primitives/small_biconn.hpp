@@ -71,7 +71,8 @@ struct LocalGraph {
 
  private:
   std::size_t n_ = 0;
-  std::vector<std::uint32_t> off_;  // n + 1 offsets into arcs_
+  // n + 1 offsets into arcs_; 2m arcs may pass 32 bits.
+  std::vector<std::size_t> off_;
   std::vector<Arc> arcs_;
   bool built_ = false;
 };
