@@ -227,7 +227,9 @@ class BiconnectivityOracle {
 
   /// Enumerate every articulation point of G exactly once (ascending
   /// order within each cluster; clusters in index order, then virtual
-  /// components). O(nk) operations, no asymmetric writes.
+  /// components). O(nk) operations, no asymmetric writes. `fn` runs while
+  /// the enumeration holds one of the thread's two view slots, so a query
+  /// it makes may hold one more view (two_edge_class holds two).
   template <typename F>
   void for_each_articulation(F&& fn) const {
     for (std::size_t ci = 0; ci < nc_; ++ci) {
@@ -382,12 +384,15 @@ class BiconnectivityOracle {
     return kNone;
   }
 
-  /// Internal-block marking for a local view (see finalize_bits).
+  /// Internal blocks of a local view (see finalize_bits): how many there
+  /// are, and how many have a local block number below `below`, which
+  /// must itself be internal (kNone: all of them).
   struct InternalBlocks {
-    std::vector<std::uint8_t> internal;  // per local block id
     std::uint32_t count = 0;
+    std::uint32_t rank = 0;
   };
-  [[nodiscard]] InternalBlocks internal_blocks(const LocalView& lv) const;
+  [[nodiscard]] InternalBlocks internal_blocks(
+      const LocalView& lv, std::uint32_t below = kNone) const;
 
   /// Virtual (< k, centerless) component handling: materialize it fully,
   /// into a per-thread slot like LocalView.

@@ -277,7 +277,9 @@ std::optional<BccId> BiconnectivityOracle<G>::edge_bcc(
         // smallest global edge — blocks partition edges, so that minimum
         // is unique per block and identical from every entry vertex.
         const std::uint32_t b = vv->bc.edge_bcc[e];
-        std::vector<std::uint64_t> best(vv->bc.num_bcc, ~std::uint64_t{0});
+        const primitives::ScratchUse use(detail::block_scratch());
+        std::vector<std::uint64_t>& best = use.scratch().best;
+        best.assign(vv->bc.num_bcc, ~std::uint64_t{0});
         for (std::uint32_t f = 0; f < vv->lg.num_edges(); ++f) {
           const auto blk = vv->bc.edge_bcc[f];
           if (blk == primitives::BiconnResult::kNone) continue;
@@ -353,10 +355,7 @@ std::optional<BccId> BiconnectivityOracle<G>::edge_bcc(
       }
     }
     // Internal block (Lemma 5.7): per-cluster offset + local rank.
-    const InternalBlocks ib = internal_blocks(*lv);
-    assert(ib.internal[b]);
-    std::uint32_t rank = 0;
-    for (std::uint32_t j = 0; j < b; ++j) rank += ib.internal[j];
+    const std::uint32_t rank = internal_blocks(*lv, b).rank;
     amem::count_read(2);
     return BccId{BccId::Kind::kInternal, internal_off_[cu] + rank};
   }

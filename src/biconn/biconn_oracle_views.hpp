@@ -57,6 +57,24 @@ inline ViewScratch& view_scratch() {
   return s;
 }
 
+/// Per-thread per-block tables of a filled view: internal_blocks' flags and
+/// edge_bcc's smallest edge per virtual block (they never nest).
+struct BlockScratch {
+  std::vector<std::uint8_t> internal;
+  std::vector<std::uint64_t> best;
+  bool busy = false;
+
+  void trim() {
+    primitives::trim_scratch(internal);
+    primitives::trim_scratch(best);
+  }
+};
+
+inline BlockScratch& block_scratch() {
+  thread_local BlockScratch s;
+  return s;
+}
+
 }  // namespace detail
 
 template <graph::GraphView G>
@@ -264,17 +282,24 @@ void BiconnectivityOracle<G>::fill_local_view(std::size_t ci,
 
 template <graph::GraphView G>
 typename BiconnectivityOracle<G>::InternalBlocks
-BiconnectivityOracle<G>::internal_blocks(const LocalView& lv) const {
-  InternalBlocks ib;
-  ib.internal.assign(lv.bc.num_bcc, 1);
+BiconnectivityOracle<G>::internal_blocks(const LocalView& lv,
+                                         std::uint32_t below) const {
+  const primitives::ScratchUse use(detail::block_scratch());
+  std::vector<std::uint8_t>& internal = use.scratch().internal;
+  internal.assign(lv.bc.num_bcc, 1);
   const std::uint32_t nm = std::uint32_t(lv.members.size());
   for (std::uint32_t e = 0; e < lv.lg.num_edges(); ++e) {
     const auto b = lv.bc.edge_bcc[e];
     if (b == primitives::BiconnResult::kNone) continue;
     const auto [x, y] = lv.lg.edges[e];
-    if (x >= nm || y >= nm) ib.internal[b] = 0;  // touches an outside node
+    if (x >= nm || y >= nm) internal[b] = 0;  // touches an outside node
   }
-  for (const auto f : ib.internal) ib.count += f;
+  assert(below == kNone || internal[below]);
+  InternalBlocks ib;
+  for (std::uint32_t b = 0; b < lv.bc.num_bcc; ++b) {
+    ib.count += internal[b];
+    if (b < below) ib.rank += internal[b];
+  }
   return ib;
 }
 

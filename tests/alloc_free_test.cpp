@@ -5,7 +5,8 @@
 // Two properties:
 //
 //  * a warm oracle query of every kind (component_of, biconnected,
-//    two_edge_connected, is_articulation, is_bridge on a present edge),
+//    two_edge_connected, is_articulation, and is_bridge and edge_bcc on a
+//    present edge),
 //    including vertices of a virtual (< k, centerless) component, makes no
 //    heap allocation: the local views, the Hopcroft–Tarjan result and the
 //    cluster search all reuse per-thread storage;
@@ -101,14 +102,18 @@ TEST(AllocFree, WarmOracleQueriesDoNotAllocate) {
       sink += o.two_edge_connected(u, v) ? 1 : 0;
       sink += o.is_articulation(u) ? 1 : 0;
     }
-    for (const auto& [u, v] : edges) sink += o.is_bridge(u, v) ? 1 : 0;
+    for (const auto& [u, v] : edges) {
+      sink += o.is_bridge(u, v) ? 1 : 0;
+      const auto id = o.edge_bcc(u, v);
+      sink += id ? id->value + 1 : 0;
+    }
   };
   run_all();  // warm: the per-thread slots grow to the largest view
   const std::uint64_t a0 = allocs();
   run_all();
   const std::uint64_t made = allocs() - a0;
   EXPECT_EQ(made, 0u) << "warm queries allocated " << made << " times over "
-                      << 4 * pairs.size() + edges.size() << " queries";
+                      << 4 * pairs.size() + 2 * edges.size() << " queries";
   EXPECT_NE(sink, 0u);
 }
 
