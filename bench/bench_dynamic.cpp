@@ -23,45 +23,17 @@
 // the million-vertex rows.
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <unordered_map>
 
+#include "alloc_count.hpp"
 #include "bench_common.hpp"
 #include "connectivity/cc_oracle.hpp"
 #include "dynamic/batch_query.hpp"
 #include "dynamic/dynamic_connectivity.hpp"
 #include "graph/generators.hpp"
 #include "parallel/rng.hpp"
-
-// Process-wide heap-allocation counter (replaceable global operator new;
-// operator new[] funnels through it). The enumeration row uses it to *prove*
-// the overlay neighbor hot path performs zero heap allocations, not just to
-// time it.
-namespace benchalloc {
-inline std::atomic<std::uint64_t> count{0};
-}  // namespace benchalloc
-
-// The replaced operator new allocates with std::malloc, so releasing with
-// std::free is the matched pair; gcc's -Wmismatched-new-delete heuristic
-// cannot see through the replacement and flags it under Release -Werror.
-#if defined(__GNUC__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-void* operator new(std::size_t size) {
-  benchalloc::count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-#if defined(__GNUC__)
-#pragma GCC diagnostic pop
-#endif
 
 namespace {
 

@@ -17,7 +17,7 @@
 //       mean wall time per rebuild of each construction phase (the
 //       "biconn_build/*" amem phase buckets);
 //   allocs_per_rebuild  — mean heap allocations per selectively rebuilt
-//       batch (a counting global operator new, as in bench_dynamic.cpp);
+//       batch (alloc_count.hpp's counting global operator new);
 //   verified            — the final snapshot's whole query surface sampled
 //       against a from-scratch static oracle; the row errors on mismatch.
 //
@@ -31,43 +31,17 @@
 // the small rows; the CI rebuild leg runs the full n=100000 rows.
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <map>
-#include <new>
 #include <string>
 #include <utility>
 
+#include "alloc_count.hpp"
 #include "biconn/biconn_oracle.hpp"
 #include "dynamic/dynamic_biconnectivity.hpp"
 #include "graph/generators.hpp"
 #include "parallel/rng.hpp"
-
-// Process-wide heap-allocation counter (replaceable global operator new;
-// operator new[] funnels through it).
-namespace benchalloc {
-inline std::atomic<std::uint64_t> count{0};
-}  // namespace benchalloc
-
-// The replaced operator new allocates with std::malloc, so releasing with
-// std::free is the matched pair; gcc's -Wmismatched-new-delete heuristic
-// cannot see through the replacement and flags it under Release -Werror.
-#if defined(__GNUC__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-void* operator new(std::size_t size) {
-  benchalloc::count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-#if defined(__GNUC__)
-#pragma GCC diagnostic pop
-#endif
 
 namespace {
 

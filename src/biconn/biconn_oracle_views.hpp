@@ -6,9 +6,11 @@
 // construction, its cluster members all reuse the slot's buffers, and
 // during a construction its members are read from the build cache instead
 // of being copied. The lookup tables that die with the fill live in
-// per-thread ViewScratch. Everything is trimmed back to
-// primitives::kScratchRetainEntries when its use ends, so a warm view makes
-// no heap allocation. The SymScratch claims are unchanged.
+// per-thread ViewScratch, and the per-block tables that internal_blocks
+// and edge_bcc read off a filled view in BlockScratch. Everything is
+// trimmed back to primitives::kScratchRetainEntries when its use ends, so
+// a warm view makes no heap allocation. The SymScratch claims are
+// unchanged.
 #pragma once
 
 namespace wecc::biconn {

@@ -1,52 +1,29 @@
 // Heap-allocation gate for the biconnectivity oracle's local views.
 //
 // Its own binary because it replaces the global operator new (operator
-// new[] funnels through it) with a counting one, as bench_dynamic.cpp does.
-// Two properties:
+// new[] funnels through it) with bench/alloc_count.hpp's counting one, as
+// bench_dynamic.cpp and bench_rebuild.cpp do. Two properties:
 //
 //  * a warm oracle query of every kind (component_of, biconnected,
 //    two_edge_connected, is_articulation, and is_bridge and edge_bcc on a
-//    present edge),
-//    including vertices of a virtual (< k, centerless) component, makes no
-//    heap allocation: the local views, the Hopcroft–Tarjan result and the
-//    cluster search all reuse per-thread storage;
+//    present edge), including vertices of a virtual (< k, centerless)
+//    component, makes no heap allocation: the local views, the
+//    Hopcroft–Tarjan result and the cluster search all reuse per-thread
+//    storage;
 //  * a selective rebuild stays within kMaxAllocsPerDirtyCluster allocations
 //    per dirty cluster: its fixpoint and bit passes build about six local
 //    views per dirty cluster, and those views reuse the same storage.
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "../bench/alloc_count.hpp"
 #include "biconn/biconn_oracle.hpp"
 #include "dynamic/dynamic_biconnectivity.hpp"
 #include "graph/generators.hpp"
 #include "parallel/rng.hpp"
-
-namespace allocgate {
-inline std::atomic<std::uint64_t> count{0};
-}  // namespace allocgate
-
-// The replaced operator new allocates with std::malloc, so releasing with
-// std::free is the matched pair; gcc's -Wmismatched-new-delete heuristic
-// cannot see through the replacement and flags it under Release -Werror.
-#if defined(__GNUC__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-void* operator new(std::size_t size) {
-  allocgate::count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-#if defined(__GNUC__)
-#pragma GCC diagnostic pop
-#endif
 
 namespace wecc {
 namespace {
@@ -60,7 +37,7 @@ using Oracle = biconn::BiconnectivityOracle<graph::Graph>;
 constexpr double kMaxAllocsPerDirtyCluster = 40;
 
 std::uint64_t allocs() {
-  return allocgate::count.load(std::memory_order_relaxed);
+  return benchalloc::count.load(std::memory_order_relaxed);
 }
 
 TEST(AllocFree, WarmOracleQueriesDoNotAllocate) {
